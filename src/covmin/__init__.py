@@ -37,38 +37,26 @@ from .fastpath import (
     NystromSketch,
     build_sketch,
     compute_omega,
-    fast_eig,
     fit_fastcoir,
     fit_fastdcm,
     sample_landmarks,
 )
-from .kernels import (
-    GramBundle,
-    KernelSpec,
-    build_bundle,
-    center_cross,
-    center_gram,
-    cross_gram,
-    eval_kernel,
-    gram,
-    median_gamma,
-)
-from .linalg import EigPairs, gen_eig, principal_angles, ridge_inverse, sym_eig, thin_svd
+from .kernels import KernelSpec, center_gram, cross_gram, gram, median_gamma
+from .linalg import EigPairs, gen_eig, ridge_inverse, sym_eig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CovminError", "InvalidInput", "ComplexSpectrum", "SingularMatrix",
     "RankDeficient", "RankDeficientWarning", "UndefinedMetric", "SchemaError",
-    "KernelSpec", "GramBundle", "eval_kernel", "gram", "cross_gram",
-    "center_gram", "center_cross", "build_bundle", "median_gamma",
-    "EigPairs", "sym_eig", "gen_eig", "thin_svd", "ridge_inverse", "principal_angles",
+    "KernelSpec", "gram", "cross_gram", "center_gram", "median_gamma",
+    "EigPairs", "sym_eig", "gen_eig", "ridge_inverse",
     "DataSet", "SynthConfig", "synth_generate", "sample_wishart",
     "load_csv", "save_csv", "split_domains",
     "ProjectionModel", "build_operator_pair", "fit_dcm", "fit_coir", "fit_kpca",
     "transform", "save_model", "load_model",
     "NystromSketch", "sample_landmarks", "build_sketch", "compute_omega",
-    "fast_eig", "fit_fastdcm", "fit_fastcoir",
+    "fit_fastdcm", "fit_fastcoir",
     "ExperimentConfig", "EvalReport", "run_experiment", "krr_fit",
     "predict_labels", "metric_accuracy", "metric_rmse", "metric_gmean", "metric_auc",
     "__version__",

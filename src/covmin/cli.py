@@ -8,11 +8,19 @@ import time
 
 import numpy as np
 
-from . import dcm, fastpath
+from . import dcm
 from .datagen import DataSet, SynthConfig, load_csv, save_csv, split_domains, synth_generate
 from .errors import CovminError
-from .evaluate import ALGORITHMS, ExperimentConfig, krr_fit, predict_labels, run_experiment
-from .kernels import RBF, DELTA, KernelSpec, median_gamma
+from .evaluate import (
+    ALGORITHMS,
+    FITTERS,
+    ExperimentConfig,
+    krr_fit,
+    predict_labels,
+    resolve_spec_y,
+    run_experiment,
+)
+from .kernels import RBF, KernelSpec
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -47,12 +55,6 @@ def _load_input(args) -> DataSet:
                     label_kind=args.label_kind)
 
 
-def _spec_y(args, y) -> KernelSpec:
-    if args.label_kind == "continuous":
-        return KernelSpec(RBF, args.gamma_y if args.gamma_y else median_gamma(y))
-    return KernelSpec(DELTA)
-
-
 def cmd_synth(args) -> int:
     cfg = SynthConfig(eta=args.eta, seed=args.seed, T=args.domains,
                       n=args.dim, mean_count=args.mean_count)
@@ -73,22 +75,10 @@ def cmd_synth(args) -> int:
 def _fit_model(args, data: DataSet):
     if args.gamma is None:
         raise CovminError("--gamma is required for fitting")
+    if args.algorithm not in FITTERS:
+        raise CovminError(f"algorithm {args.algorithm!r} has no fitted model (use eval)")
     spec_x = KernelSpec(RBF, args.gamma)
-    spec_y = _spec_y(args, data.y)
-    alg = args.algorithm
-    if alg == "dcm":
-        return dcm.fit_dcm(data, spec_x, args.epsilon, args.m, spec_y=spec_y)
-    if alg == "coir":
-        return dcm.fit_coir(data, spec_x, args.epsilon, args.m, spec_y=spec_y)
-    if alg == "kpca":
-        return dcm.fit_kpca(data, spec_x, args.m)
-    if alg == "fastdcm":
-        return fastpath.fit_fastdcm(data, spec_x, args.epsilon, args.m,
-                                    args.M, args.seed, spec_y=spec_y)
-    if alg == "fastcoir":
-        return fastpath.fit_fastcoir(data, spec_x, args.epsilon, args.m,
-                                     args.M, args.seed, spec_y=spec_y)
-    raise CovminError(f"algorithm {alg!r} has no fitted model (use eval)")
+    return FITTERS[args.algorithm](data, spec_x, resolve_spec_y(args, data.y), args)
 
 
 def cmd_fit(args) -> int:
@@ -174,20 +164,12 @@ def cmd_bench(args) -> int:
             eta=args.eta, seed=args.seed, mean_count=max(1, nominal // 10),
         ))
         N = len(data)
+        spec_y = resolve_spec_y(args, data.y)
         for alg in algorithms:
-            t0 = time.perf_counter()
-            if alg == "dcm":
-                dcm.fit_dcm(data, spec_x, args.epsilon, args.m)
-            elif alg == "coir":
-                dcm.fit_coir(data, spec_x, args.epsilon, args.m)
-            elif alg == "fastdcm":
-                fastpath.fit_fastdcm(data, spec_x, args.epsilon, args.m,
-                                     args.M, args.seed)
-            elif alg == "fastcoir":
-                fastpath.fit_fastcoir(data, spec_x, args.epsilon, args.m,
-                                      args.M, args.seed)
-            else:
+            if alg not in FITTERS:
                 raise CovminError(f"bench does not support algorithm {alg!r}")
+            t0 = time.perf_counter()
+            FITTERS[alg](data, spec_x, spec_y, args)
             elapsed = time.perf_counter() - t0
             rows.append((N, args.M, alg, elapsed))
             print(f"N={N} M={args.M} {alg}: {elapsed:.3f}s")

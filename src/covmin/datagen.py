@@ -184,8 +184,9 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
     """Parse a CSV with named feature, output, and domain columns.
 
     label_kind "discrete" keeps labels as integers cast to float when
-    possible; "continuous" parses them as floats. Unparsable numerics
-    raise with the 1-based line number.
+    possible; "continuous" parses them as floats. Unparsable numerics and
+    rows too short for the named columns raise with the 1-based line
+    number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -200,10 +201,15 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
         fidx = [header.index(c) for c in feature_cols]
         yidx = header.index(label_col)
         didx = header.index(domain_col)
+        width = max(fidx + [yidx, didx]) + 1
         rows_X, rows_y, rows_d = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < width:
+                raise InvalidInput(
+                    f"line {lineno}: {len(row)} fields, header has {len(header)}"
+                )
             rows_X.append([_parse_float(row[j], lineno, header[j]) for j in fidx])
             rows_y.append(_parse_float(row[yidx], lineno, label_col))
             rows_d.append(row[didx].strip())

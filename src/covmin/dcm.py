@@ -14,6 +14,7 @@ Degenerations: zeroing the domain Gram gives inverse-regression behavior
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -23,10 +24,10 @@ from .datagen import DataSet
 from .errors import InvalidInput, RankDeficient
 from .kernels import (
     DELTA,
-    GramBundle,
     KernelSpec,
     center_cross_from_means,
     center_gram,
+    centered_gram,
     cross_gram,
     gram,
 )
@@ -55,8 +56,10 @@ class ProjectionModel:
         return self.coefficients.shape[1]
 
 
-def build_operator_pair(bundle: GramBundle, epsilon: float):
-    """Left/right operators of the fitting eigenproblem.
+def build_operator_pair(Kx: np.ndarray, Ky: np.ndarray, Kd: np.ndarray,
+                        epsilon: float):
+    """Left/right operators of the fitting eigenproblem, from the centered
+    input, output and domain Grams.
 
     A = Ky (Ky + N eps I)^-1 Kx Kx + Kx
     B = Kd (Kd + N eps I)^-1 Kx Kx + Kx
@@ -65,9 +68,6 @@ def build_operator_pair(bundle: GramBundle, epsilon: float):
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be positive")
-    if not bundle.centered:
-        raise InvalidInput("operator pair requires a centered bundle")
-    Kx, Ky, Kd = bundle.Kx, bundle.Ky, bundle.Kd
     N = Kx.shape[0]
     for name, K in (("Kx", Kx), ("Ky", Ky), ("Kd", Kd)):
         scale = np.abs(K).max() or 1.0
@@ -83,18 +83,6 @@ def build_operator_pair(bundle: GramBundle, epsilon: float):
     else:
         B = Kd @ np.linalg.solve(Kd + ridge, KxKx) + Kx
     return A, B
-
-
-def solved_pencil(bundle: GramBundle, epsilon: float):
-    """The exact pencil handed to the eigensolver: (Kx A, Kx B + N eps I).
-
-    Exposed so tests can verify eigenpair residuals against what was
-    actually solved.
-    """
-    A, B = build_operator_pair(bundle, epsilon)
-    Kx = bundle.Kx
-    N = Kx.shape[0]
-    return Kx @ A, Kx @ B + (N * epsilon) * np.eye(N)
 
 
 def _canonical_signs(coef: np.ndarray) -> np.ndarray:
@@ -125,13 +113,10 @@ def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
     spec_y = spec_y or KernelSpec(DELTA)
     spec_d = spec_d or KernelSpec(DELTA)
-    Kraw = gram(spec_x, X)
-    row_means = Kraw.mean(axis=1)
-    Kx = center_gram(Kraw)
+    Kx, row_means = centered_gram(spec_x, X)
     Ky = center_gram(gram(spec_y, data.y))
     Kd = np.zeros_like(Kx) if zero_domain else center_gram(gram(spec_d, data.d))
-    bundle = GramBundle(Kx=Kx, Ky=Ky, Kd=Kd, centered=True)
-    A, B = build_operator_pair(bundle, epsilon)
+    A, B = build_operator_pair(Kx, Ky, Kd, epsilon)
     pairs = gen_eig(Kx @ A, Kx @ B, m, ridge=N * epsilon)
     coef = _normalize_against(pairs.vectors.copy(), Kx)
     coef = _canonical_signs(coef)
@@ -173,9 +158,7 @@ def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int) -> ProjectionModel:
     N = X.shape[0]
     if not 1 <= m <= N:
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
-    Kraw = gram(spec_x, X)
-    row_means = Kraw.mean(axis=1)
-    Kx = center_gram(Kraw)
+    Kx, row_means = centered_gram(spec_x, X)
     pairs = sym_eig(Kx)
     positive = pairs.values > 1e-12 * max(pairs.values[0], 1.0)
     if positive[:m].sum() < m:
@@ -243,18 +226,32 @@ def save_model(model: ProjectionModel, path: str) -> None:
             fh.write(np.ascontiguousarray(model.landmarks, dtype="<i8").tobytes())
 
 
+def _read_exact(fh, count: int, path: str) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
+        raise InvalidInput(f"{path}: truncated model header")
+    return data
+
+
 def load_model(path: str) -> ProjectionModel:
-    """Inverse of save_model; validates magic and version."""
+    """Inverse of save_model; validates magic, version and, before any
+    array is decoded, that the payload length matches the header."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInput(f"{path}: not a projection model file")
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != _VERSION:
             raise InvalidInput(f"{path}: unsupported model version {version}")
-        header = json.loads(fh.read(hlen))
+        header = json.loads(_read_exact(fh, hlen, path))
         N = header["n_train"]
         n = header["n_features"]
         m = header["m"]
+        expected = 8 * (N * m + m + N + N * n + header["n_landmarks"])
+        actual = os.fstat(fh.fileno()).st_size - fh.tell()
+        if actual != expected:
+            raise InvalidInput(
+                f"{path}: payload is {actual} bytes, header implies {expected}"
+            )
 
         def block(count):
             return np.frombuffer(fh.read(8 * count), dtype="<f8").copy()

@@ -24,13 +24,30 @@ from .kernels import (
     RBF,
     KernelSpec,
     center_cross_from_means,
-    center_gram,
+    centered_gram,
     cross_gram,
-    gram,
     median_gamma,
 )
 
-ALGORITHMS = ("dcm", "coir", "kpca", "fastdcm", "fastcoir", "baseline")
+# name -> fit of a ProjectionModel. p is any object carrying epsilon, m, M
+# and seed (the CLI namespace or an ExperimentConfig). The fit functions
+# are looked up on their modules at call time, so a wrapper installed on
+# the module (such as a timing tracer) sees every fit.
+FITTERS = {
+    "dcm": lambda data, spec_x, spec_y, p: dcm.fit_dcm(
+        data, spec_x, p.epsilon, p.m, spec_y=spec_y),
+    "coir": lambda data, spec_x, spec_y, p: dcm.fit_coir(
+        data, spec_x, p.epsilon, p.m, spec_y=spec_y),
+    "kpca": lambda data, spec_x, spec_y, p: dcm.fit_kpca(data, spec_x, p.m),
+    "fastdcm": lambda data, spec_x, spec_y, p: fastpath.fit_fastdcm(
+        data, spec_x, p.epsilon, p.m, p.M, p.seed, spec_y=spec_y),
+    "fastcoir": lambda data, spec_x, spec_y, p: fastpath.fit_fastcoir(
+        data, spec_x, p.epsilon, p.m, p.M, p.seed, spec_y=spec_y),
+}
+
+# "baseline" is kernel ridge on the raw centered Gram: scored, never fitted
+# to a ProjectionModel
+ALGORITHMS = (*FITTERS, "baseline")
 
 
 @dataclass
@@ -210,21 +227,21 @@ def _split_stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _resolve_spec_y(cfg: ExperimentConfig, y: np.ndarray) -> KernelSpec:
-    if cfg.label_kind == "continuous":
-        gamma_y = cfg.gamma_y if cfg.gamma_y is not None else median_gamma(y)
+def resolve_spec_y(p, y: np.ndarray) -> KernelSpec:
+    """Output kernel for p.label_kind: delta for discrete labels, else RBF
+    with p.gamma_y, or the median heuristic on y when p.gamma_y is None."""
+    if p.label_kind == "continuous":
+        gamma_y = p.gamma_y if p.gamma_y is not None else median_gamma(y)
         return KernelSpec(RBF, gamma_y)
     return KernelSpec(DELTA)
 
 
 def _fit_and_score(alg: str, cfg: ExperimentConfig, train, test, timings) -> dict:
     spec_x = KernelSpec(RBF, cfg.gamma)
-    spec_y = _resolve_spec_y(cfg, train.y)
+    spec_y = resolve_spec_y(cfg, train.y)
     t0 = time.perf_counter()
     if alg == "baseline":
-        Kraw = gram(spec_x, train.X)
-        row_means = Kraw.mean(axis=1)
-        Kx = center_gram(Kraw)
+        Kx, row_means = centered_gram(spec_x, train.X)
         ym = float(train.y.mean())
         alpha = np.linalg.solve(Kx + cfg.lam * np.eye(len(train)), train.y - ym)
         timings[alg]["fit"] += time.perf_counter() - t0
@@ -232,20 +249,7 @@ def _fit_and_score(alg: str, cfg: ExperimentConfig, train, test, timings) -> dic
         Kz = center_cross_from_means(cross_gram(spec_x, train.X, test.X), row_means)
         scores = Kz.T @ alpha + ym
     else:
-        if alg == "dcm":
-            model = dcm.fit_dcm(train, spec_x, cfg.epsilon, cfg.m, spec_y=spec_y)
-        elif alg == "coir":
-            model = dcm.fit_coir(train, spec_x, cfg.epsilon, cfg.m, spec_y=spec_y)
-        elif alg == "kpca":
-            model = dcm.fit_kpca(train, spec_x, cfg.m)
-        elif alg == "fastdcm":
-            model = fastpath.fit_fastdcm(train, spec_x, cfg.epsilon, cfg.m,
-                                         cfg.M, cfg.seed, spec_y=spec_y)
-        elif alg == "fastcoir":
-            model = fastpath.fit_fastcoir(train, spec_x, cfg.epsilon, cfg.m,
-                                          cfg.M, cfg.seed, spec_y=spec_y)
-        else:
-            raise InvalidInput(f"unknown algorithm {alg!r}")
+        model = FITTERS[alg](train, spec_x, spec_y, cfg)
         predictor = krr_fit(dcm.transform(model, train.X), train.y, cfg.lam)
         timings[alg]["fit"] += time.perf_counter() - t0
         t0 = time.perf_counter()

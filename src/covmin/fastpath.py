@@ -35,10 +35,10 @@ class NystromSketch:
     """Landmark sketch of the three kernels.
 
     C matrices are column-centered (H C); W blocks are the raw landmark
-    kernels with Wt their jitter-regularized inverses; S blocks are cross
-    products of the centered C matrices. approx_row_means carries the row
-    means of the raw approximated input kernel, used to center test
-    columns at projection time.
+    kernels, Wt_x is the jitter-regularized inverse of Wx; S blocks are
+    cross products of the centered C matrices. approx_row_means carries
+    the row means of the raw approximated input kernel, used to center
+    test columns at projection time.
     """
 
     landmark_indices: np.ndarray
@@ -49,8 +49,6 @@ class NystromSketch:
     Wy: np.ndarray
     Wd: np.ndarray
     Wt_x: np.ndarray
-    Wt_y: np.ndarray
-    Wt_d: np.ndarray
     jitter_x: float
     jitter_y: float
     jitter_d: float
@@ -104,8 +102,6 @@ def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks,
     Wx, Wy, Wd = Cx[idx].copy(), Cy[idx].copy(), Cd[idx].copy()
     jx, jy, jd = _jitter(Wx), _jitter(Wy), _jitter(Wd)
     Wt_x = ridge_inverse(Wx, jx)
-    Wt_y = ridge_inverse(Wy, jy)
-    Wt_d = ridge_inverse(Wd, jd)
     # row means of the raw approximated input kernel, O(NM)
     ones_proj = Cx.T @ np.full(N, 1.0 / N)
     approx_row_means = Cx @ (Wt_x @ ones_proj)
@@ -116,7 +112,7 @@ def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks,
         landmark_indices=idx,
         Cx=Cx, Cy=Cy, Cd=Cd,
         Wx=Wx, Wy=Wy, Wd=Wd,
-        Wt_x=Wt_x, Wt_y=Wt_y, Wt_d=Wt_d,
+        Wt_x=Wt_x,
         jitter_x=jx, jitter_y=jy, jitter_d=jd,
         Sxx=Cx.T @ Cx, Sxy=Cx.T @ Cy, Sxd=Cx.T @ Cd,
         Syy=Cy.T @ Cy, Sdd=Cd.T @ Cd,
@@ -128,15 +124,17 @@ def compute_omega(sk: NystromSketch, N: int, epsilon: float,
                   zero_domain: bool = False) -> np.ndarray:
     """M x M reduction matrix of the sketched eigenproblem.
 
-    Direct form (left factor inverted against the right factor):
+    Direct form (left factor inverted against the right factor), with
+    Vx, Vy, Vd the inverses of the jittered landmark blocks W + jitter I:
 
-      lhs = Wt_x Sxd Wt_d (Sdd Wt_d + N eps I)^-1 Sdx Wt_x Sxx Wt_x Sxx
-            + Wt_x Sxx Wt_x Sxx + N eps I
-      rhs = Wt_x Sxy Wt_y (Syy Wt_y + N eps I)^-1 Syx Wt_x Sxx Wt_x
-            + Wt_x Sxx Wt_x
+      lhs = Vx Sxd Vd (Sdd Vd + N eps I)^-1 Sdx Vx Sxx Vx Sxx
+            + Vx Sxx Vx Sxx + N eps I
+      rhs = Vx Sxy Vy (Syy Vy + N eps I)^-1 Syx Vx Sxx Vx
+            + Vx Sxx Vx
 
-    evaluated here with every Wt (S Wt + a I)^-1 collapsed to
-    (S + a Wj)^-1 and the leading Wt_x factored out of the inversion.
+    evaluated here with every V (S V + a I)^-1 collapsed to
+    (S + a Wj)^-1 and the leading Vx (the sketch's Wt_x) factored out of
+    the inversion.
     zero_domain drops the Sxd term (the single-domain degeneration).
     """
     if epsilon <= 0:
@@ -159,14 +157,17 @@ def compute_omega(sk: NystromSketch, N: int, epsilon: float,
     return omega
 
 
-def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray):
-    """Rank-truncated recovery, keeping the complex spectrum for callers
-    that enforce the retained-eigenvalue policy themselves."""
+def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray, m: int):
+    """Eigenvector recovery: eigenvalues and coefficients C_x V Theta,
+    sorted by descending real part, with the complex spectrum kept for the
+    caller's retained-eigenvalue policy. Columns beyond the numerical rank
+    of the sketch are dropped; an effective rank below m raises
+    RankDeficient."""
     pairs = sym_eig(sk.Sxx)
     lam2 = pairs.values
     keep = lam2 > _RANK_TOL * max(lam2[0], 0.0)
-    if not np.any(keep):
-        raise RankDeficient("sketched input Gram has no numerical rank")
+    if keep.sum() < m:
+        raise RankDeficient(f"effective rank {int(keep.sum())} is below the requested {m}")
     Vr = pairs.vectors[:, keep]
     lam2 = lam2[keep]
     G = (Vr.T @ omega @ Vr) * lam2[None, :]
@@ -176,19 +177,6 @@ def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray):
     Theta = Theta[:, order]
     coefs = sk.Cx @ (Vr @ Theta.real)
     return w, coefs
-
-
-def fast_eig(sk: NystromSketch, omega: np.ndarray, m: int | None = None):
-    """Eigenvector recovery: coefficients C_x V Theta and eigenvalues,
-    sorted by descending real part. Columns beyond the numerical rank of
-    the sketch are dropped; requesting more than the effective rank via m
-    raises RankDeficient."""
-    w, coefs = _fast_eig_raw(sk, omega)
-    if m is not None and coefs.shape[1] < m:
-        raise RankDeficient(
-            f"effective rank {coefs.shape[1]} is below the requested {m}"
-        )
-    return coefs, w.real
 
 
 def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
@@ -201,11 +189,7 @@ def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
     idx = sample_landmarks(N, M, seed)
     sk = build_sketch(data, spec_x, idx, spec_y=spec_y, spec_d=spec_d)
     omega = compute_omega(sk, N, epsilon, zero_domain=zero_domain)
-    w, coefs = _fast_eig_raw(sk, omega)
-    if coefs.shape[1] < m:
-        raise RankDeficient(
-            f"effective rank {coefs.shape[1]} is below the requested {m}"
-        )
+    w, coefs = _fast_eig_raw(sk, omega, m)
     w = w[:m]
     bad = np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))
     if np.any(bad):

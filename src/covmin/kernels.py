@@ -36,16 +36,6 @@ class KernelSpec:
                 raise InvalidInput("rbf kernel requires gamma > 0")
 
 
-@dataclass
-class GramBundle:
-    """The three training Gram matrices consumed by the fitting routines."""
-
-    Kx: np.ndarray
-    Ky: np.ndarray
-    Kd: np.ndarray
-    centered: bool
-
-
 def median_gamma(values) -> float:
     """Bandwidth heuristic for a kernel on real-valued outputs.
 
@@ -60,18 +50,6 @@ def median_gamma(values) -> float:
     if med < 1e-12:
         return 1.0
     return 1.0 / (2.0 * med * med)
-
-
-def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """Evaluate the kernel on a single pair."""
-    if spec.kind == DELTA:
-        return 1.0 if a == b else 0.0
-    av = np.asarray(a, dtype=float).ravel()
-    bv = np.asarray(b, dtype=float).ravel()
-    if av.shape != bv.shape:
-        raise InvalidInput(f"rbf operands differ in length: {av.shape} vs {bv.shape}")
-    diff = av - bv
-    return float(np.exp(-spec.gamma * float(diff @ diff)))
 
 
 def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -133,6 +111,14 @@ def center_gram(K: np.ndarray) -> np.ndarray:
     return 0.5 * (C + C.T)
 
 
+def centered_gram(spec: KernelSpec, items) -> tuple[np.ndarray, np.ndarray]:
+    """Centered training Gram plus the row means of the raw Gram, which
+    center_cross_from_means needs to center test columns later."""
+    K = gram(spec, items)
+    row_means = K.mean(axis=1)
+    return center_gram(K), row_means
+
+
 def center_cross_from_means(Kz: np.ndarray, row_means: np.ndarray) -> np.ndarray:
     """Center test columns using precomputed training row means.
 
@@ -149,64 +135,3 @@ def center_cross_from_means(Kz: np.ndarray, row_means: np.ndarray) -> np.ndarray
         )
     V = Kz - mu[:, None]
     return V - V.mean(axis=0, keepdims=True)
-
-
-def center_cross(Kz: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Center test columns of Kz against the raw training Gram K."""
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInput("center_cross expects a square training Gram")
-    if np.asarray(Kz).shape[0] != K.shape[0]:
-        raise InvalidInput("Kz row count must match the training Gram size")
-    return center_cross_from_means(Kz, K.mean(axis=1))
-
-
-def gram_row_means(spec: KernelSpec, X, chunk: int = 512) -> np.ndarray:
-    """Per-row means of the raw training Gram, computed in row blocks.
-
-    Equivalent to gram(spec, X).mean(axis=1) but never materializes the
-    full N x N matrix.
-    """
-    if spec.kind == DELTA:
-        labels = np.asarray(X)
-        n = labels.shape[0]
-        out = np.empty(n)
-        for start in range(0, n, chunk):
-            block = (labels[start : start + chunk, None] == labels[None, :]).astype(float)
-            out[start : start + chunk] = block.mean(axis=1)
-        return out
-    Xp = _as_points(X)
-    n = Xp.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, chunk):
-        rows = np.exp(-spec.gamma * _sq_dists(Xp[start : start + chunk], Xp))
-        # gram() pins the diagonal at exactly 1.0; mirror that here
-        idx = np.arange(start, min(start + chunk, n))
-        rows[idx - start, idx] = 1.0
-        out[start : start + chunk] = rows.mean(axis=1)
-    return out
-
-
-def build_bundle(
-    X,
-    y,
-    d,
-    spec_x: KernelSpec,
-    spec_y: KernelSpec | None = None,
-    spec_d: KernelSpec | None = None,
-    centered: bool = True,
-) -> GramBundle:
-    """Assemble the three training Grams (inputs, outputs, domains).
-
-    spec_y defaults to delta for discrete outputs; pass an RBF spec for
-    continuous outputs (median_gamma provides a bandwidth). spec_d
-    defaults to delta.
-    """
-    spec_y = spec_y or KernelSpec(DELTA)
-    spec_d = spec_d or KernelSpec(DELTA)
-    Kx = gram(spec_x, X)
-    Ky = gram(spec_y, y)
-    Kd = gram(spec_d, d)
-    if centered:
-        Kx, Ky, Kd = center_gram(Kx), center_gram(Ky), center_gram(Kd)
-    return GramBundle(Kx=Kx, Ky=Ky, Kd=Kd, centered=centered)

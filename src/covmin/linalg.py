@@ -1,4 +1,4 @@
-"""Dense linear-algebra core: eigensolvers, thin SVD, regularized solves.
+"""Dense linear-algebra core: eigensolvers and regularized solves.
 
 The generalized eigenproblems this package produces are nonsymmetric
 (products of symmetric PSD matrices), so the main solver reduces
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ComplexSpectrum, InvalidInput, RankDeficient, SingularMatrix
+from .errors import ComplexSpectrum, InvalidInput, SingularMatrix
 
 #: imaginary parts above this (relative) threshold are an error, below it noise
 IMAG_TOL = 1e-6
@@ -117,19 +117,6 @@ def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) ->
     return EigPairs(values=w.real, vectors=vecs)
 
 
-def thin_svd(C: np.ndarray):
-    """Thin SVD of a tall matrix: C = U diag(s) V^T.
-
-    Returns (U, s, V) with U of shape (N, M), s non-increasing, V of
-    shape (M, M) holding right singular vectors as columns.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] < C.shape[1]:
-        raise InvalidInput("thin_svd expects N >= M")
-    U, s, Vh = np.linalg.svd(C, full_matrices=False)
-    return U, s, Vh.T
-
-
 def ridge_inverse(W: np.ndarray, jitter: float) -> np.ndarray:
     """Inverse of W + jitter*I for a symmetric W."""
     W = _require_symmetric(W)
@@ -141,32 +128,3 @@ def ridge_inverse(W: np.ndarray, jitter: float) -> np.ndarray:
     if not np.all(np.isfinite(inv)):
         raise SingularMatrix("landmark block inverse overflowed")
     return inv
-
-
-def _metric_orthonormalize(Bmat: np.ndarray, metric_sqrt: np.ndarray) -> np.ndarray:
-    Y = metric_sqrt @ Bmat
-    Q, R = np.linalg.qr(Y)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise RankDeficient("columns are dependent under the metric inner product")
-    return Q
-
-def principal_angles(B1: np.ndarray, B2: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Principal angles between two column spans under a PSD metric.
-
-    Columns are orthonormalized with respect to <u, v> = u^T metric v,
-    then the angles are the arccosines of the singular values of the
-    orthonormal cross product. Result is in [0, pi/2], length m.
-    """
-    B1 = np.asarray(B1, dtype=float)
-    B2 = np.asarray(B2, dtype=float)
-    if B1.shape != B2.shape:
-        raise InvalidInput("subspace bases must share a shape")
-    Msym = _require_symmetric(metric)
-    w, U = np.linalg.eigh(Msym)
-    w = np.clip(w, 0.0, None)
-    metric_sqrt = (U * np.sqrt(w)[None, :]) @ U.T
-    Q1 = _metric_orthonormalize(B1, metric_sqrt)
-    Q2 = _metric_orthonormalize(B2, metric_sqrt)
-    s = np.linalg.svd(Q1.T @ Q2, compute_uv=False)
-    return np.arccos(np.clip(s, -1.0, 1.0))

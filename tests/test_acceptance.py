@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import numpy.testing as npt
+from conftest import build_bundle, principal_angles, solved_pencil
 
 from covmin import (
     DataSet,
@@ -22,7 +23,6 @@ from covmin import (
     metric_auc,
     metric_gmean,
     metric_rmse,
-    principal_angles,
     run_experiment,
     sample_landmarks,
     save_csv,
@@ -31,8 +31,7 @@ from covmin import (
     transform,
 )
 from covmin.cli import main as cli_main
-from covmin.dcm import solved_pencil
-from covmin.kernels import build_bundle, center_gram, gram
+from covmin.kernels import center_gram, gram
 
 RBF = KernelSpec("rbf", 0.5)
 
@@ -50,7 +49,7 @@ def test_criterion_1_eigen_residuals(criterion):
         d = rng.integers(1, 4, size=N)
         data = DataSet(X=X, y=y, d=d)
         model = fit_dcm(data, RBF, eps, 3)
-        A, B = solved_pencil(build_bundle(X, y, d, RBF), eps)
+        A, B = solved_pencil(*build_bundle(X, y, d, RBF), eps)
         for k in range(3):
             v = model.coefficients[:, k]
             lam = model.eigenvalues[k]

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import principal_angles
 
-from covmin import KernelSpec, fit_dcm, load_csv, load_model, principal_angles
+from covmin import KernelSpec, fit_dcm, load_csv, load_model
 from covmin.cli import main
 from covmin.kernels import center_gram, gram
 
@@ -90,6 +91,12 @@ def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
                "--algorithm", "dcm"])
     assert rc == 1
     assert "gamma" in capsys.readouterr().err
+
+    # an explicit zero output width is rejected, not replaced by the median heuristic
+    rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
+               "--gamma", "0.5", "--label-kind", "continuous", "--gamma-y", "0"])
+    assert rc == 1
+    assert "error: InvalidInput" in capsys.readouterr().err
 
 
 def test_fit_missing_input_file(tmp_path, capsys):

@@ -166,6 +166,10 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(InvalidInput, match="line 7"):
         load_csv(str(path), ["a"], "y", "d")
 
+    path.write_text("a,y,d\n1,1,1\n1,1\n")
+    with pytest.raises(InvalidInput, match="line 3"):
+        load_csv(str(path), ["a"], "y", "d")
+
     path.write_text("a,y,d\n")
     with pytest.raises(InvalidInput, match="no data rows"):
         load_csv(str(path), ["a"], "y", "d")

@@ -1,10 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import build_bundle, principal_angles, solved_pencil
 
 from covmin import (
     DataSet,
-    GramBundle,
     InvalidInput,
     KernelSpec,
     SynthConfig,
@@ -13,64 +13,58 @@ from covmin import (
     fit_dcm,
     fit_kpca,
     load_model,
-    principal_angles,
     save_model,
     synth_generate,
     transform,
 )
-from covmin.dcm import solved_pencil
 from covmin.errors import RankDeficient
 from covmin.kernels import center_gram, gram
 
 
-def _random_bundle(rng, N):
+def _random_grams(rng, N):
+    """Centered PSD (Kx, Ky, Kd) with rank-2 output and domain Grams."""
     def psd(k):
         A = rng.standard_normal((N, k))
         return center_gram(A @ A.T)
 
-    return GramBundle(Kx=psd(N), Ky=psd(2), Kd=psd(2), centered=True)
+    return psd(N), psd(2), psd(2)
 
 
 def test_operator_pair_transcription_oracle():
     """Recompute both operators with explicit inverses and compare."""
     rng = np.random.default_rng(0)
     for N, eps in ((3, 0.1), (7, 1e-3)):
-        b = _random_bundle(rng, N)
-        A, B = build_operator_pair(b, eps)
+        Kx, Ky, Kd = _random_grams(rng, N)
+        A, B = build_operator_pair(Kx, Ky, Kd, eps)
         ridge = N * eps * np.eye(N)
-        KxKx = b.Kx @ b.Kx
-        A_ref = b.Ky @ np.linalg.inv(b.Ky + ridge) @ KxKx + b.Kx
-        B_ref = b.Kd @ np.linalg.inv(b.Kd + ridge) @ KxKx + b.Kx
+        KxKx = Kx @ Kx
+        A_ref = Ky @ np.linalg.inv(Ky + ridge) @ KxKx + Kx
+        B_ref = Kd @ np.linalg.inv(Kd + ridge) @ KxKx + Kx
         npt.assert_allclose(A, A_ref, atol=1e-10)
         npt.assert_allclose(B, B_ref, atol=1e-10)
 
 
 def test_operator_pair_degenerations():
     rng = np.random.default_rng(1)
-    b = _random_bundle(rng, 5)
+    Kx, Ky, _ = _random_grams(rng, 5)
     zero = np.zeros((5, 5))
 
-    b_both = GramBundle(Kx=b.Kx, Ky=zero, Kd=zero, centered=True)
-    A, B = build_operator_pair(b_both, 0.1)
-    npt.assert_array_equal(A, b.Kx)
-    npt.assert_array_equal(B, b.Kx)
+    A, B = build_operator_pair(Kx, zero, zero, 0.1)
+    npt.assert_array_equal(A, Kx)
+    npt.assert_array_equal(B, Kx)
 
-    b_coir = GramBundle(Kx=b.Kx, Ky=b.Ky, Kd=zero, centered=True)
-    _, B = build_operator_pair(b_coir, 0.1)
-    npt.assert_array_equal(B, b.Kx)
+    _, B = build_operator_pair(Kx, Ky, zero, 0.1)
+    npt.assert_array_equal(B, Kx)
 
 
 def test_operator_pair_validation():
     rng = np.random.default_rng(2)
-    b = _random_bundle(rng, 4)
+    Kx, Ky, Kd = _random_grams(rng, 4)
     with pytest.raises(InvalidInput):
-        build_operator_pair(b, 0.0)
-    raw = GramBundle(Kx=b.Kx, Ky=b.Ky, Kd=b.Kd, centered=False)
+        build_operator_pair(Kx, Ky, Kd, 0.0)
+    crooked = Kx + np.triu(np.ones((4, 4)))
     with pytest.raises(InvalidInput):
-        build_operator_pair(raw, 0.1)
-    crooked = GramBundle(Kx=b.Kx + np.triu(np.ones((4, 4))), Ky=b.Ky, Kd=b.Kd, centered=True)
-    with pytest.raises(InvalidInput):
-        build_operator_pair(crooked, 0.1)
+        build_operator_pair(crooked, Ky, Kd, 0.1)
 
 
 def test_fit_dcm_invariants(small_data, rbf):
@@ -88,10 +82,7 @@ def test_fit_dcm_invariants(small_data, rbf):
 def test_fit_dcm_solved_pencil_residuals(small_data, rbf):
     eps = 1e-3
     model = fit_dcm(small_data, rbf, eps, 3)
-    from covmin.kernels import build_bundle
-
-    bundle = build_bundle(small_data.X, small_data.y, small_data.d, rbf)
-    A, B = solved_pencil(bundle, eps)
+    A, B = solved_pencil(*build_bundle(small_data.X, small_data.y, small_data.d, rbf), eps)
     for k in range(3):
         v = model.coefficients[:, k]
         lam = model.eigenvalues[k]
@@ -241,6 +232,13 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
     bad.write_bytes(bytes(blob[:4]) + struct.pack("<I", 99) + bytes(blob[8:]))
     with pytest.raises(InvalidInput, match="version"):
         load_model(str(bad))
+
+    # cut inside the fixed header, inside the JSON header, inside the
+    # payload; then a payload longer than the header implies
+    for damaged in (blob[:10], blob[:20], blob[:-100], blob + bytes(8)):
+        bad.write_bytes(bytes(damaged))
+        with pytest.raises(InvalidInput, match="truncated|payload"):
+            load_model(str(bad))
 
 
 def test_permutation_equivariance(rbf):

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import principal_angles
 
 from covmin import (
     ComplexSpectrum,
@@ -11,16 +12,15 @@ from covmin import (
     SynthConfig,
     build_sketch,
     compute_omega,
-    fast_eig,
     fit_dcm,
     fit_fastcoir,
     fit_fastdcm,
-    principal_angles,
     sample_landmarks,
     synth_generate,
     transform,
 )
 from covmin.errors import RankDeficient
+from covmin.fastpath import _fast_eig_raw
 from covmin.kernels import center_gram, gram
 from covmin.linalg import ridge_inverse
 
@@ -100,7 +100,9 @@ def test_compute_omega_transcription_oracle(seed):
     Ne = N * eps
     M = sk.Sxx.shape[0]
     I = np.eye(M)
-    Wt_x, Wt_y, Wt_d = sk.Wt_x, sk.Wt_y, sk.Wt_d
+    Wt_x = sk.Wt_x
+    Wt_y = ridge_inverse(sk.Wy, sk.jitter_y)
+    Wt_d = ridge_inverse(sk.Wd, sk.jitter_d)
     lhs = (
         Wt_x @ sk.Sxd @ Wt_d @ np.linalg.inv(sk.Sdd @ Wt_d + Ne * I)
         @ sk.Sdx @ Wt_x @ sk.Sxx @ Wt_x @ sk.Sxx
@@ -124,7 +126,7 @@ def test_compute_omega_zero_blocks():
         landmark_indices=np.arange(M),
         Cx=np.zeros((6, M)), Cy=np.zeros((6, M)), Cd=np.zeros((6, M)),
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M), Wt_y=np.eye(M), Wt_d=np.eye(M),
+        Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
         Sxx=zero, Sxy=zero, Sxd=zero, Syy=zero, Sdd=zero,
         approx_row_means=np.zeros(6),
@@ -150,13 +152,13 @@ def test_fast_eig_identity_case():
         landmark_indices=np.arange(M),
         Cx=rng.standard_normal((N, M)), Cy=np.zeros((N, M)), Cd=np.zeros((N, M)),
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M), Wt_y=np.eye(M), Wt_d=np.eye(M),
+        Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
         Sxx=np.eye(M), Sxy=np.zeros((M, M)), Sxd=np.zeros((M, M)),
         Syy=np.eye(M), Sdd=np.eye(M),
         approx_row_means=np.zeros(N),
     )
-    coefs, vals = fast_eig(sk, np.eye(M))
+    vals, coefs = _fast_eig_raw(sk, np.eye(M), M)
     npt.assert_allclose(vals, np.ones(M), atol=1e-12)
     assert coefs.shape == (N, M)
 
@@ -170,16 +172,16 @@ def test_fast_eig_rank_one_sketch():
         landmark_indices=np.arange(M),
         Cx=Cx, Cy=np.zeros((N, M)), Cd=np.zeros((N, M)),
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M), Wt_y=np.eye(M), Wt_d=np.eye(M),
+        Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
         Sxx=Cx.T @ Cx, Sxy=np.zeros((M, M)), Sxd=np.zeros((M, M)),
         Syy=np.eye(M), Sdd=np.eye(M),
         approx_row_means=np.zeros(N),
     )
-    coefs, vals = fast_eig(sk, np.eye(M))
+    vals, coefs = _fast_eig_raw(sk, np.eye(M), 1)
     assert coefs.shape[1] == 1
     with pytest.raises(RankDeficient):
-        fast_eig(sk, np.eye(M), m=2)
+        _fast_eig_raw(sk, np.eye(M), 2)
 
 
 def test_full_sampling_matches_dense(rbf):

@@ -2,16 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import build_bundle, eval_kernel
+
 from covmin import InvalidInput, KernelSpec
 from covmin.kernels import (
-    build_bundle,
-    center_cross,
     center_cross_from_means,
     center_gram,
     cross_gram,
-    eval_kernel,
     gram,
-    gram_row_means,
     median_gamma,
 )
 
@@ -97,13 +95,11 @@ def test_center_cross_matches_gram_columns():
     A = rng.standard_normal((5, 3))
     K = A @ A.T
     Kc = center_gram(K)
-    out = center_cross(K[:, [1, 3]], K)
+    out = center_cross_from_means(K[:, [1, 3]], K.mean(axis=1))
     npt.assert_allclose(out, Kc[:, [1, 3]], atol=1e-12)
 
-    npt.assert_allclose(center_cross(np.ones((4, 1)), np.ones((4, 4))),
+    npt.assert_allclose(center_cross_from_means(np.ones((4, 1)), np.ones(4)),
                         np.zeros((4, 1)), atol=1e-15)
-    with pytest.raises(InvalidInput):
-        center_cross(np.ones((3, 1)), np.ones((4, 4)))
     with pytest.raises(InvalidInput):
         center_cross_from_means(np.ones((3, 1)), np.ones(4))
 
@@ -126,25 +122,12 @@ def test_median_gamma():
     assert median_gamma(np.zeros(5)) == 1.0
 
 
-def test_gram_row_means_matches_dense(rbf):
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((30, 3))
-    npt.assert_allclose(gram_row_means(rbf, X, chunk=7), gram(rbf, X).mean(axis=1), atol=1e-14)
-    labels = rng.integers(0, 3, size=25)
-    spec = KernelSpec("delta")
-    npt.assert_allclose(gram_row_means(spec, labels, chunk=4),
-                        gram(spec, labels).mean(axis=1), atol=1e-15)
-
-
 def test_build_bundle_defaults(rbf):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((12, 2))
     y = np.where(rng.standard_normal(12) > 0, 1.0, -1.0)
     d = rng.integers(1, 3, size=12)
-    b = build_bundle(X, y, d, rbf)
-    assert b.centered
-    npt.assert_allclose(b.Ky, center_gram(gram(KernelSpec("delta"), y)), atol=1e-14)
-    npt.assert_allclose(b.Kd, center_gram(gram(KernelSpec("delta"), d)), atol=1e-14)
-    raw = build_bundle(X, y, d, rbf, centered=False)
-    assert not raw.centered
-    npt.assert_array_equal(raw.Kx, gram(rbf, X))
+    Kx, Ky, Kd = build_bundle(X, y, d, rbf)
+    npt.assert_array_equal(Kx, center_gram(gram(rbf, X)))
+    npt.assert_allclose(Ky, center_gram(gram(KernelSpec("delta"), y)), atol=1e-14)
+    npt.assert_allclose(Kd, center_gram(gram(KernelSpec("delta"), d)), atol=1e-14)

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import principal_angles
+
 from covmin import ComplexSpectrum, InvalidInput, SingularMatrix
 from covmin.errors import RankDeficient
-from covmin.linalg import gen_eig, principal_angles, ridge_inverse, sym_eig, thin_svd
+from covmin.linalg import gen_eig, ridge_inverse, sym_eig
 
 
 def test_sym_eig_identity_and_diag():
@@ -88,27 +90,6 @@ def test_gen_eig_errors():
     nan = np.full((2, 2), np.nan)
     with pytest.raises(SingularMatrix):
         gen_eig(nan, np.eye(2), 1)
-
-
-def test_thin_svd():
-    C = np.vstack([np.eye(3), np.zeros((2, 3))])
-    U, s, V = thin_svd(C)
-    npt.assert_allclose(s, np.ones(3))
-    assert U.shape == (5, 3) and V.shape == (3, 3)
-
-    u = np.arange(1.0, 7.0)[:, None]
-    v = np.array([[1.0, -2.0]])
-    s = thin_svd(u @ v)[1]
-    assert s[0] > 1e-8 and np.all(s[1:] < 1e-10)
-
-    rng = np.random.default_rng(3)
-    C = rng.standard_normal((6, 3))
-    U, s, V = thin_svd(C)
-    npt.assert_allclose(U @ np.diag(s) @ V.T, C, atol=1e-10)
-    assert np.all(np.diff(s) <= 0)
-
-    with pytest.raises(InvalidInput):
-        thin_svd(rng.standard_normal((3, 6)))
 
 
 def test_ridge_inverse():
