@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dcm
 from .datagen import DataSet, SynthConfig, load_csv, save_csv, split_domains, synth_generate
-from .errors import CovminError
+from .errors import CovminError, InvalidInput
 from .evaluate import (
     ALGORITHMS,
     FITTERS,
@@ -136,7 +136,15 @@ def _eval_with_model(args, algorithms):
     data = _load_input(args)
     if not args.train_domains:
         raise CovminError("--train-domains is required with --model")
-    wanted = [type(data.d.ravel()[0])(s) for s in args.train_domains.split(",")]
+    kind = type(data.d.ravel()[0])
+    wanted = []
+    for text in args.train_domains.split(","):
+        try:
+            wanted.append(kind(text))
+        except ValueError:
+            raise InvalidInput(
+                f"--train-domains value {text!r} is not a {kind.__name__} domain label"
+            ) from None
     train, test = split_domains(data, wanted)
     predictor = krr_fit(dcm.transform(model, train.X), train.y, args.lam)
     scores = predictor.predict(dcm.transform(model, test.X))

@@ -21,9 +21,9 @@ _COV_FLOOR = 1e-12
 class DataSet:
     """Samples with outputs and domain labels.
 
-    X is N x n, y has length N (class labels as +-1.0 or real values),
-    d has length N. domain_sizes maps each observed domain label to its
-    sample count.
+    X is N x n and finite, y has length N (class labels as +-1.0 or
+    finite real values), d has length N. domain_sizes maps each observed
+    domain label to its sample count.
     """
 
     X: np.ndarray
@@ -38,6 +38,10 @@ class DataSet:
         n = self.X.shape[0]
         if len(self.y) != n or len(self.d) != n:
             raise InvalidInput("X, y, d must agree in length")
+        if not np.isfinite(self.X).all():
+            raise InvalidInput("X has non-finite entries")
+        if self.y.dtype.kind == "f" and not np.isfinite(self.y).all():
+            raise InvalidInput("y has non-finite entries")
         if not self.domain_sizes:
             labels, counts = np.unique(self.d, return_counts=True)
             self.domain_sizes = dict(zip(labels.tolist(), counts.tolist()))
@@ -216,7 +220,8 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
     if not rows_X:
         raise InvalidInput(f"{path}: no data rows")
     y = np.asarray(rows_y, dtype=float)
-    if label_kind == "discrete":
+    # a non-finite label stays as parsed, for DataSet to reject
+    if label_kind == "discrete" and np.isfinite(y).all():
         y = y.astype(np.int64).astype(float)
     try:
         d = np.asarray([int(v) for v in rows_d], dtype=np.int64)

@@ -3,10 +3,11 @@
 The central fit solves, in coefficient space, a generalized eigenproblem
 whose left side rewards directions predictive of the output and whose
 right side penalizes directions that track the domain label. Both sides
-are premultiplied by the (centered) input Gram before solving; this is
-the construction under which the rank-M landmark path (fastpath module)
-recovers the dense solution exactly when every point is a landmark, and
-it leaves the retained spectrum real in practice.
+are premultiplied by the (centered) input Gram; this is the construction
+under which the rank-M landmark path (fastpath module) recovers the dense
+solution exactly when every point is a landmark. In the eigenbasis of the
+centered input Gram the same problem is an r x r symmetric-definite
+pencil (build_operator_pair), so its spectrum is real by construction.
 
 Degenerations: zeroing the domain Gram gives inverse-regression behavior
 (coir); dropping supervision entirely reduces to kernel PCA (kpca).
@@ -19,6 +20,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .datagen import DataSet
 from .errors import InvalidInput, RankDeficient
@@ -31,7 +33,7 @@ from .kernels import (
     cross_gram,
     gram,
 )
-from .linalg import gen_eig, sym_eig
+from .linalg import gen_eig, positive_eig
 
 _MAGIC = b"CVPM"
 _VERSION = 1
@@ -56,33 +58,59 @@ class ProjectionModel:
         return self.coefficients.shape[1]
 
 
-def build_operator_pair(Kx: np.ndarray, Ky: np.ndarray, Kd: np.ndarray,
-                        epsilon: float):
-    """Left/right operators of the fitting eigenproblem, from the centered
-    input, output and domain Grams.
+def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
+    """F with F F^T equal to the centered Gram of values under spec.
 
-    A = Ky (Ky + N eps I)^-1 Kx Kx + Kx
-    B = Kd (Kd + N eps I)^-1 Kx Kx + Kx
+    Delta kernel: the centered one-hot matrix, N x (distinct values),
+    exact. RBF: eigenvectors of the centered Gram scaled by the square
+    roots of its positive eigenvalues.
+    """
+    if spec.kind == DELTA:
+        levels, codes = np.unique(np.asarray(values), return_inverse=True)
+        G = (codes[:, None] == np.arange(len(levels))[None, :]).astype(float)
+        return G - G.mean(axis=0)
+    pairs = positive_eig(center_gram(gram(spec, values)))
+    return pairs.vectors * np.sqrt(pairs.values)[None, :]
 
-    With Kd = 0 the right side is exactly Kx.
+
+def build_operator_pair(U: np.ndarray, lam: np.ndarray, Fy: np.ndarray,
+                        Fd: np.ndarray | None, epsilon: float):
+    """Reduced r x r pencil L w = mu (R + N eps I) w of the fit.
+
+    The fit's N x N pencil, with Kx, Ky, Kd the centered input, output
+    and domain Grams and P_k = K_k (K_k + N eps I)^-1, is
+
+      (Kx P_y Kx^2 + Kx^2) v = mu (Kx P_d Kx^2 + Kx^2 + N eps I) v.
+
+    Its nonzero eigenvalues live on v = U diag(lam)^-1/2 w, where
+    Kx = U diag(lam) U^T over the r positive eigenvalues. There
+
+      L = lam^3/2 Q_y lam^3/2 + lam^2,   R = lam^3/2 Q_d lam^3/2 + lam^2,
+
+    with Q_k = U^T P_k U = (U^T F)(F^T F + N eps I)^-1 (U^T F)^T for the
+    factor K_k = F F^T (push-through identity). Both are symmetric and
+    R + N eps I is positive definite. Fd = None drops the domain term
+    (coir).
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be positive")
-    N = Kx.shape[0]
-    for name, K in (("Kx", Kx), ("Ky", Ky), ("Kd", Kd)):
-        scale = np.abs(K).max() or 1.0
-        if np.abs(K - K.T).max() > 1e-8 * scale:
-            raise InvalidInput(f"{name} is not symmetric")
-        if K.diagonal().min() < -1e-10 * scale:
-            raise InvalidInput(f"{name} has a negative diagonal; not PSD")
-    KxKx = Kx @ Kx
-    ridge = N * epsilon * np.eye(N)
-    A = Ky @ np.linalg.solve(Ky + ridge, KxKx) + Kx
-    if np.abs(Kd).max() == 0.0:
-        B = Kx.copy()
-    else:
-        B = Kd @ np.linalg.solve(Kd + ridge, KxKx) + Kx
-    return A, B
+    N = U.shape[0]
+    for name, F in (("output", Fy), ("domain", Fd)):
+        if F is not None and F.shape[0] != N:
+            raise InvalidInput(f"{name} factor has {F.shape[0]} rows, expected {N}")
+    Ne = N * epsilon
+    lam32 = lam ** 1.5
+
+    def scaled_q(F):
+        # lam^3/2 Q lam^3/2 as Y^T Y, with C C^T = F^T F + N eps I
+        C = np.linalg.cholesky(F.T @ F + Ne * np.eye(F.shape[1]))
+        Y = sla.solve_triangular(C, (U.T @ F).T * lam32[None, :], lower=True)
+        return Y.T @ Y
+
+    base = np.diag(lam * lam)
+    L = scaled_q(Fy) + base
+    R = base if Fd is None else scaled_q(Fd) + base
+    return L, R
 
 
 def _canonical_signs(coef: np.ndarray) -> np.ndarray:
@@ -95,14 +123,14 @@ def _canonical_signs(coef: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _normalize_against(coef: np.ndarray, Kx: np.ndarray) -> np.ndarray:
-    for col in range(coef.shape[1]):
-        s = float(coef[:, col] @ Kx @ coef[:, col])
-        s = abs(s)
-        if s < 1e-300:
-            raise RankDeficient("projection direction has zero norm under Kx")
-        coef[:, col] /= np.sqrt(s)
-    return coef
+def _positive_basis(Kx: np.ndarray, m: int):
+    """Eigenpairs of the centered Gram over its numerical range; at least m."""
+    pairs = positive_eig(Kx)
+    if len(pairs.values) < m:
+        raise RankDeficient(
+            f"centered Gram has only {len(pairs.values)} positive directions, need {m}"
+        )
+    return pairs
 
 
 def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
@@ -111,14 +139,14 @@ def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
     N = X.shape[0]
     if not 1 <= m <= N:
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
-    spec_y = spec_y or KernelSpec(DELTA)
-    spec_d = spec_d or KernelSpec(DELTA)
     Kx, row_means = centered_gram(spec_x, X)
-    Ky = center_gram(gram(spec_y, data.y))
-    Kd = np.zeros_like(Kx) if zero_domain else center_gram(gram(spec_d, data.d))
-    A, B = build_operator_pair(Kx, Ky, Kd, epsilon)
-    pairs = gen_eig(Kx @ A, Kx @ B, m, ridge=N * epsilon)
-    coef = _normalize_against(pairs.vectors.copy(), Kx)
+    basis = _positive_basis(Kx, m)
+    Fy = _centered_factor(spec_y or KernelSpec(DELTA), data.y)
+    Fd = None if zero_domain else _centered_factor(spec_d or KernelSpec(DELTA), data.d)
+    L, R = build_operator_pair(basis.vectors, basis.values, Fy, Fd, epsilon)
+    pairs = gen_eig(L, R, m, ridge=N * epsilon)
+    # v = U lam^-1/2 w has v^T Kx v = w^T w = 1
+    coef = basis.vectors @ (pairs.vectors / np.sqrt(basis.values)[:, None])
     coef = _canonical_signs(coef)
     return ProjectionModel(
         algorithm=algorithm,
@@ -138,6 +166,11 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     spec_y defaults to a delta kernel (discrete outputs); pass an RBF spec
     for continuous outputs. Retains the m directions with the largest
     eigenvalues, each scaled to unit norm under the centered input Gram.
+
+    Cost: one N x N symmetric eigendecomposition of the centered input
+    Gram (and one of the output Gram for an RBF output kernel), then the
+    top m pairs of an r x r symmetric-definite pencil, r the numerical
+    rank of the input Gram: O(N^3) time, O(N^2) memory.
     """
     return _fit_projected(data, spec_x, spec_y, spec_d, epsilon, m, "dcm",
                           zero_domain=False)
@@ -145,8 +178,8 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
 
 def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
              spec_y: KernelSpec | None = None) -> ProjectionModel:
-    """Single-domain degeneration: the domain Gram is zeroed, so the
-    right-hand operator is the input Gram alone."""
+    """Single-domain degeneration: the domain term is dropped, so the
+    right-hand operator is built from the input Gram alone."""
     return _fit_projected(data, spec_x, spec_y, None, epsilon, m, "coir",
                           zero_domain=True)
 
@@ -159,12 +192,7 @@ def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int) -> ProjectionModel:
     if not 1 <= m <= N:
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
     Kx, row_means = centered_gram(spec_x, X)
-    pairs = sym_eig(Kx)
-    positive = pairs.values > 1e-12 * max(pairs.values[0], 1.0)
-    if positive[:m].sum() < m:
-        raise RankDeficient(
-            f"centered Gram has only {int(positive.sum())} positive directions, need {m}"
-        )
+    pairs = _positive_basis(Kx, m)
     vals = pairs.values[:m]
     coef = pairs.vectors[:, :m] / np.sqrt(vals)[None, :]
     coef = _canonical_signs(coef)
@@ -194,6 +222,8 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
             f"feature dimension mismatch: model has {model.train_X.shape[1]}, "
             f"got {Z.shape[1]}"
         )
+    if not np.isfinite(Z).all():
+        raise InvalidInput("query points must be finite")
     Kz = cross_gram(model.spec_x, model.train_X, Z)
     Kz = center_cross_from_means(Kz, model.row_means)
     return model.coefficients.T @ Kz
@@ -233,6 +263,27 @@ def _read_exact(fh, count: int, path: str) -> bytes:
     return data
 
 
+_HEADER_COUNTS = ("n_train", "n_features", "m", "n_landmarks")
+
+
+def _parse_header(blob: bytes, path: str) -> dict:
+    try:
+        header = json.loads(blob)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InvalidInput(f"{path}: model header is not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise InvalidInput(f"{path}: model header is not a JSON object")
+    missing = [k for k in (*_HEADER_COUNTS, "algorithm", "kernel_kind", "kernel_gamma")
+               if k not in header]
+    if missing:
+        raise InvalidInput(f"{path}: model header lacks {missing}")
+    bad = [k for k in _HEADER_COUNTS
+           if type(header[k]) is not int or header[k] < 0]
+    if bad:
+        raise InvalidInput(f"{path}: model header counts {bad} are not non-negative integers")
+    return header
+
+
 def load_model(path: str) -> ProjectionModel:
     """Inverse of save_model; validates magic, version and, before any
     array is decoded, that the payload length matches the header."""
@@ -242,7 +293,7 @@ def load_model(path: str) -> ProjectionModel:
         version, hlen = struct.unpack("<II", _read_exact(fh, 8, path))
         if version != _VERSION:
             raise InvalidInput(f"{path}: unsupported model version {version}")
-        header = json.loads(_read_exact(fh, hlen, path))
+        header = _parse_header(_read_exact(fh, hlen, path), path)
         N = header["n_train"]
         n = header["n_features"]
         m = header["m"]

@@ -24,10 +24,12 @@ from .datagen import DataSet
 from .dcm import ProjectionModel, _canonical_signs
 from .errors import ComplexSpectrum, InvalidInput, RankDeficient
 from .kernels import DELTA, KernelSpec, cross_gram
-from .linalg import IMAG_TOL, ridge_inverse, sym_eig
+from .linalg import ridge_inverse, sym_eig
 
 _JITTER_SCALE = 1e-10
 _RANK_TOL = 1e-10
+#: imaginary parts above this (relative) threshold are an error, below it noise
+IMAG_TOL = 1e-6
 
 
 @dataclass

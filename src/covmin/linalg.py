@@ -1,10 +1,9 @@
 """Dense linear-algebra core: eigensolvers and regularized solves.
 
-The generalized eigenproblems this package produces are nonsymmetric
-(products of symmetric PSD matrices), so the main solver reduces
-A v = lambda B v to a standard nonsymmetric problem (B + ridge I)^-1 A
-and works with scipy's QR-based eigensolver. Retained eigenvalues are
-checked for spurious imaginary parts rather than silently truncated.
+The dense fit reduces to a symmetric-definite pencil A w = lambda B w
+(A symmetric, B symmetric positive definite), so its spectrum is real by
+construction. gen_eig hands it to LAPACK's symmetric-definite solver and
+computes only the retained top-m pairs.
 """
 from __future__ import annotations
 
@@ -13,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import ComplexSpectrum, InvalidInput, SingularMatrix
+from .errors import InvalidInput, SingularMatrix
 
-#: imaginary parts above this (relative) threshold are an error, below it noise
-IMAG_TOL = 1e-6
+#: eigenvalues at or below this fraction of max(largest, 1) count as zero
+_POSITIVE_TOL = 1e-12
 
 
 @dataclass
@@ -24,8 +23,7 @@ class EigPairs:
     """Eigenvalues sorted descending with their paired eigenvectors.
 
     values[i] corresponds to vectors[:, i]. Vectors of a generalized
-    problem are the real parts of the computed eigenvectors, renormalized
-    to unit Euclidean norm.
+    problem are renormalized to unit Euclidean norm.
     """
 
     values: np.ndarray
@@ -60,28 +58,39 @@ def sym_eig(S: np.ndarray) -> EigPairs:
     return EigPairs(values=w[order], vectors=V[:, order])
 
 
-def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) -> EigPairs:
-    """Top-m eigenpairs of the pencil A v = lambda (B + ridge I) v.
+def positive_eig(S: np.ndarray) -> EigPairs:
+    """sym_eig restricted to the eigenvalues above
+    1e-12 * max(largest, 1): the numerical range of a PSD matrix."""
+    pairs = sym_eig(S)
+    keep = pairs.values > _POSITIVE_TOL * max(pairs.values[0], 1.0)
+    return EigPairs(values=pairs.values[keep], vectors=pairs.vectors[:, keep])
 
-    Reduction: eigendecompose T = (B + ridge I)^-1 A and keep the m pairs
-    with the largest real parts. A and B need not be symmetric.
+
+def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) -> EigPairs:
+    """Top-m eigenpairs of the symmetric-definite pencil
+    A v = lambda (B + ridge I) v.
 
     Parameters
     ----------
     A, B : (N, N) arrays
+        Symmetric within 1e-8 relative tolerance; B + ridge I must be
+        positive definite.
     m : int
         Number of pairs to retain, 1 <= m <= N.
     ridge : float, optional
-        Added to B's diagonal before inversion. Defaults to N times the
-        machine epsilon, enough to make an exactly singular B invertible
-        without visibly moving the well-separated part of the spectrum.
+        Added to B's diagonal. Defaults to N times the machine epsilon.
+
+    Returns
+    -------
+    EigPairs, values descending, vectors of unit Euclidean norm.
 
     Raises
     ------
-    ComplexSpectrum
-        If any retained eigenvalue has |Im| > 1e-6 * (1 + |Re|).
+    InvalidInput
+        If the shapes disagree, m is out of range or A or B is not
+        symmetric.
     SingularMatrix
-        If B + ridge I cannot be inverted.
+        If an entry is not finite or B + ridge I is not positive definite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -90,31 +99,18 @@ def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) ->
     N = A.shape[0]
     if not 1 <= m <= N:
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise SingularMatrix("pencil has non-finite entries")
+    A = _require_symmetric(A)
+    B = _require_symmetric(B)
     if ridge is None:
         ridge = N * np.finfo(float).eps
-    Breg = B + ridge * np.eye(N)
     try:
-        T = np.linalg.solve(Breg, A)
+        w, V = sla.eigh(A, B + ridge * np.eye(N), subset_by_index=[N - m, N - 1])
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("B + ridge*I is singular") from exc
-    if not np.all(np.isfinite(T)):
-        raise SingularMatrix("solve against B + ridge*I produced non-finite values")
-    w, V = sla.eig(T)
-    order = np.argsort(-w.real, kind="stable")
-    w = w[order][:m]
-    V = V[:, order][:, :m]
-    bad = np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))
-    if np.any(bad):
-        worst = np.abs(w.imag)[bad].max()
-        raise ComplexSpectrum(
-            f"retained eigenvalue has imaginary part {worst:.3e}; "
-            "the operator pair is too ill-conditioned at this ridge"
-        )
-    vecs = V.real.copy()
-    norms = np.linalg.norm(vecs, axis=0)
-    norms[norms == 0] = 1.0
-    vecs /= norms
-    return EigPairs(values=w.real, vectors=vecs)
+        raise SingularMatrix("B + ridge*I is not positive definite") from exc
+    V = V[:, ::-1]
+    return EigPairs(values=w[::-1], vectors=V / np.linalg.norm(V, axis=0))
 
 
 def ridge_inverse(W: np.ndarray, jitter: float) -> np.ndarray:

@@ -3,7 +3,7 @@ package against (they are not part of the package API)."""
 import numpy as np
 import pytest
 
-from covmin import DataSet, InvalidInput, KernelSpec, SynthConfig, build_operator_pair, synth_generate
+from covmin import DataSet, InvalidInput, KernelSpec, SynthConfig, synth_generate
 from covmin.errors import RankDeficient
 from covmin.kernels import DELTA, center_gram, gram
 from covmin.linalg import _require_symmetric
@@ -90,14 +90,21 @@ def build_bundle(
 
 
 def solved_pencil(Kx, Ky, Kd, epsilon: float):
-    """The exact pencil handed to the eigensolver: (Kx A, Kx B + N eps I).
+    """The fit's N x N pencil (P, Q), assembled here from the centered
+    Grams with explicit solves, independently of the package's solver:
 
-    Lets tests verify eigenpair residuals against what was actually
-    solved.
+      A = Ky (Ky + N eps I)^-1 Kx Kx + Kx,  B = Kd (Kd + N eps I)^-1 Kx Kx + Kx,
+      P = Kx A,  Q = Kx B + N eps I.
+
+    A fitted model's eigenpairs (eigenvalues, coefficient columns) satisfy
+    P v = lambda Q v.
     """
-    A, B = build_operator_pair(Kx, Ky, Kd, epsilon)
     N = Kx.shape[0]
-    return Kx @ A, Kx @ B + (N * epsilon) * np.eye(N)
+    ridge = N * epsilon * np.eye(N)
+    KxKx = Kx @ Kx
+    A = Ky @ np.linalg.solve(Ky + ridge, KxKx) + Kx
+    B = Kd @ np.linalg.solve(Kd + ridge, KxKx) + Kx
+    return Kx @ A, Kx @ B + ridge
 
 
 def _metric_orthonormalize(Bmat: np.ndarray, metric_sqrt: np.ndarray) -> np.ndarray:

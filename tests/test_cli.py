@@ -149,6 +149,47 @@ def test_eval_scores_fitted_model(tmp_path):
     assert 0.0 <= acc <= 1.0
 
 
+def test_eval_rejects_train_domains_of_the_wrong_type(tmp_path, capsys):
+    path = _synth(tmp_path)
+    model_path = str(tmp_path / "m.bin")
+    assert main(["fit", "--input", path, "--output", model_path,
+                 "--algorithm", "dcm", "--gamma", "0.5", "--m", "2"]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", model_path, "--input", path,
+               "--train-domains", "1,b", "--output", str(tmp_path / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidInput" in err and "'b'" in err
+
+
+def test_transform_rejects_corrupt_model_and_nan_rows(tmp_path, capsys):
+    path = _synth(tmp_path)
+    model_path = str(tmp_path / "m.bin")
+    assert main(["fit", "--input", path, "--output", model_path,
+                 "--algorithm", "dcm", "--gamma", "0.5", "--m", "2"]) == 0
+    proj = str(tmp_path / "p.csv")
+    common = ["transform", "--input", path, "--output", proj]
+
+    blob = bytearray(open(model_path, "rb").read())
+    blob[12] = ord("#")
+    corrupt = tmp_path / "corrupt.bin"
+    corrupt.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert main([*common, "--model", str(corrupt)]) == 1
+    assert "error: InvalidInput" in capsys.readouterr().err
+
+    lines = open(path).read().splitlines()
+    first = lines[1].split(",")
+    first[3] = "nan"
+    lines[1] = ",".join(first)
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("\n".join(lines) + "\n")
+    rc = main(["transform", "--input", str(nan_csv), "--output", proj,
+               "--model", model_path])
+    assert rc == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bench_csv_schema(tmp_path):
     out = str(tmp_path / "bench.csv")
     rc = main(["bench", "--sizes", "150", "--compare", "fastdcm,fastcoir",

@@ -178,6 +178,13 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(InvalidInput, match="empty"):
         load_csv(str(path), ["a"], "y", "d")
 
+    # non-finite features and labels, also where discrete labels are cast
+    for text in ("nan,1,1", "1,inf,1"):
+        path.write_text("a,y,d\n1,1,1\n" + text + "\n")
+        for kind in ("discrete", "continuous"):
+            with pytest.raises(InvalidInput, match="non-finite"):
+                load_csv(str(path), ["a"], "y", "d", label_kind=kind)
+
     path.write_text("a,y,d\n1,1,1\n")
     with pytest.raises(SchemaError, match="missing"):
         load_csv(str(path), ["a", "zz"], "y", "d")
@@ -189,3 +196,12 @@ def test_dataset_validation():
     ds = DataSet(X=np.ones((3, 2)), y=np.ones(3), d=np.array([1, 1, 2]))
     assert ds.domain_sizes == {1: 2, 2: 1}
     assert len(ds) == 3
+    for bad in (np.nan, np.inf, -np.inf):
+        X = np.ones((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(InvalidInput, match="X has non-finite"):
+            DataSet(X=X, y=np.ones(3), d=np.ones(3))
+        with pytest.raises(InvalidInput, match="y has non-finite"):
+            DataSet(X=np.ones((3, 2)), y=np.array([1.0, bad, 1.0]), d=np.ones(3))
+    # non-float labels are not checked for finiteness
+    assert len(DataSet(X=np.ones((2, 1)), y=np.array(["a", "b"]), d=np.ones(2))) == 2

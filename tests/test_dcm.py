@@ -17,54 +17,77 @@ from covmin import (
     synth_generate,
     transform,
 )
+from covmin.dcm import _centered_factor
 from covmin.errors import RankDeficient
 from covmin.kernels import center_gram, gram
+from covmin.linalg import positive_eig
 
 
-def _random_grams(rng, N):
-    """Centered PSD (Kx, Ky, Kd) with rank-2 output and domain Grams."""
-    def psd(k):
+def _random_problem(rng, N):
+    """Centered Kx with its positive eigenbasis, plus rank-2 centered
+    output and domain factors (Ky = Fy Fy^T, Kd = Fd Fd^T)."""
+    def centered(k):
         A = rng.standard_normal((N, k))
-        return center_gram(A @ A.T)
+        return A - A.mean(axis=0)
 
-    return psd(N), psd(2), psd(2)
+    Fx = centered(N)
+    Kx = center_gram(Fx @ Fx.T)
+    return Kx, positive_eig(Kx), centered(2), centered(2)
 
 
 def test_operator_pair_transcription_oracle():
-    """Recompute both operators with explicit inverses and compare."""
+    """L and R + N eps I are the N x N pencil seen through v = U lam^-1/2 w:
+    lam^1/2 U^T (P, Q) U lam^-1/2."""
     rng = np.random.default_rng(0)
-    for N, eps in ((3, 0.1), (7, 1e-3)):
-        Kx, Ky, Kd = _random_grams(rng, N)
-        A, B = build_operator_pair(Kx, Ky, Kd, eps)
-        ridge = N * eps * np.eye(N)
-        KxKx = Kx @ Kx
-        A_ref = Ky @ np.linalg.inv(Ky + ridge) @ KxKx + Kx
-        B_ref = Kd @ np.linalg.inv(Kd + ridge) @ KxKx + Kx
-        npt.assert_allclose(A, A_ref, atol=1e-10)
-        npt.assert_allclose(B, B_ref, atol=1e-10)
+    for N, eps in ((3, 0.1), (7, 1e-3), (12, 1e-2)):
+        Kx, basis, Fy, Fd = _random_problem(rng, N)
+        U, lam = basis.vectors, basis.values
+        L, R = build_operator_pair(U, lam, Fy, Fd, eps)
+        P, Q = solved_pencil(Kx, Fy @ Fy.T, Fd @ Fd.T, eps)
+        L_ref = np.sqrt(lam)[:, None] * (U.T @ P @ U) / np.sqrt(lam)[None, :]
+        R_ref = np.sqrt(lam)[:, None] * (U.T @ Q @ U) / np.sqrt(lam)[None, :]
+        scale = np.abs(L_ref).max() + np.abs(R_ref).max()
+        npt.assert_allclose(L, L_ref, atol=1e-12 * scale)
+        npt.assert_allclose(R + N * eps * np.eye(len(lam)), R_ref, atol=1e-12 * scale)
+        npt.assert_array_equal(L, L.T)
+        npt.assert_array_equal(R, R.T)
 
 
 def test_operator_pair_degenerations():
     rng = np.random.default_rng(1)
-    Kx, Ky, _ = _random_grams(rng, 5)
-    zero = np.zeros((5, 5))
+    _, basis, Fy, _ = _random_problem(rng, 5)
+    U, lam = basis.vectors, basis.values
+    zero = np.zeros((5, 1))
 
-    A, B = build_operator_pair(Kx, zero, zero, 0.1)
-    npt.assert_array_equal(A, Kx)
-    npt.assert_array_equal(B, Kx)
+    L, R = build_operator_pair(U, lam, zero, zero, 0.1)
+    npt.assert_array_equal(L, np.diag(lam ** 2))
+    npt.assert_array_equal(R, np.diag(lam ** 2))
 
-    _, B = build_operator_pair(Kx, Ky, zero, 0.1)
-    npt.assert_array_equal(B, Kx)
+    _, R = build_operator_pair(U, lam, Fy, None, 0.1)
+    npt.assert_array_equal(R, np.diag(lam ** 2))
 
 
 def test_operator_pair_validation():
     rng = np.random.default_rng(2)
-    Kx, Ky, Kd = _random_grams(rng, 4)
-    with pytest.raises(InvalidInput):
-        build_operator_pair(Kx, Ky, Kd, 0.0)
-    crooked = Kx + np.triu(np.ones((4, 4)))
-    with pytest.raises(InvalidInput):
-        build_operator_pair(crooked, Ky, Kd, 0.1)
+    _, basis, Fy, Fd = _random_problem(rng, 4)
+    U, lam = basis.vectors, basis.values
+    with pytest.raises(InvalidInput, match="epsilon"):
+        build_operator_pair(U, lam, Fy, Fd, 0.0)
+    with pytest.raises(InvalidInput, match="domain factor"):
+        build_operator_pair(U, lam, Fy, Fd[:3], 0.1)
+
+
+@pytest.mark.parametrize("spec, values", [
+    (KernelSpec("delta"), np.array([1.0, -1.0, -1.0, 1.0, 1.0, 2.0])),
+    (KernelSpec("delta"), np.array(["b", "a", "b", "c"])),
+    (KernelSpec("rbf", 0.7), np.linspace(-2.0, 2.0, 9)),
+])
+def test_centered_factor_reproduces_centered_gram(spec, values):
+    F = _centered_factor(spec, values)
+    K = center_gram(gram(spec, values))
+    npt.assert_allclose(F @ F.T, K, atol=1e-12)
+    if spec.kind == "delta":
+        assert F.shape == (len(values), len(np.unique(values)))
 
 
 def test_fit_dcm_invariants(small_data, rbf):
@@ -159,6 +182,11 @@ def test_kpca_rank_limits(rbf):
     assert model.eigenvalues[0] > 0
     with pytest.raises(RankDeficient):
         fit_kpca(data, rbf, 2)
+    # the dense supervised fit needs as many positive directions as well
+    data = DataSet(X=X, y=np.array([1.0, -1.0]), d=np.array([1, 2]))
+    assert fit_dcm(data, rbf, 1e-3, 1).m == 1
+    with pytest.raises(RankDeficient):
+        fit_dcm(data, rbf, 1e-3, 2)
 
 
 def test_fit_m_bounds(small_data, rbf):
@@ -198,6 +226,11 @@ def test_transform_validation(small_data, rbf):
     model = fit_dcm(small_data, rbf, 1e-3, 2)
     with pytest.raises(InvalidInput):
         transform(model, np.ones((3, small_data.X.shape[1] + 1)))
+    for bad in (np.nan, np.inf):
+        Z = small_data.X[:3].copy()
+        Z[1, 2] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            transform(model, Z)
 
 
 def test_serialization_round_trip(tmp_path, small_data, rbf):
@@ -239,6 +272,38 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
         bad.write_bytes(bytes(damaged))
         with pytest.raises(InvalidInput, match="truncated|payload"):
             load_model(str(bad))
+
+    # full-length but corrupt JSON headers: not JSON, not an object, a
+    # missing key, a count that is not a non-negative integer
+    import json
+
+    hlen = struct.unpack("<I", bytes(blob[8:12]))[0]
+    start = 12
+    damaged = bytearray(blob)
+    damaged[start] = ord("#")
+    bad.write_bytes(bytes(damaged))
+    with pytest.raises(InvalidInput, match="not valid JSON"):
+        load_model(str(bad))
+
+    header = json.loads(bytes(blob[start:start + hlen]))
+
+    def with_header(text):
+        raw = text.encode()
+        return (bytes(blob[:8]) + struct.pack("<I", len(raw)) + raw
+                + bytes(blob[start + hlen:]))
+
+    bad.write_bytes(with_header(json.dumps([header])))
+    with pytest.raises(InvalidInput, match="not a JSON object"):
+        load_model(str(bad))
+    bad.write_bytes(with_header(json.dumps({k: v for k, v in header.items() if k != "m"})))
+    with pytest.raises(InvalidInput, match="lacks"):
+        load_model(str(bad))
+    bad.write_bytes(with_header(json.dumps(dict(header, n_train="90"))))
+    with pytest.raises(InvalidInput, match="integers"):
+        load_model(str(bad))
+    bad.write_bytes(with_header(json.dumps(dict(header, kernel_gamma="0.5"))))
+    with pytest.raises(InvalidInput, match="gamma"):
+        load_model(str(bad))
 
 
 def test_permutation_equivariance(rbf):

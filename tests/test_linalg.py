@@ -1,12 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-
+import scipy.linalg as sla
 from conftest import principal_angles
 
-from covmin import ComplexSpectrum, InvalidInput, SingularMatrix
+from covmin import InvalidInput, SingularMatrix
 from covmin.errors import RankDeficient
-from covmin.linalg import gen_eig, ridge_inverse, sym_eig
+from covmin.linalg import gen_eig, positive_eig, ridge_inverse, sym_eig
 
 
 def test_sym_eig_identity_and_diag():
@@ -58,20 +58,27 @@ def test_gen_eig_residuals_scaled():
         r = np.linalg.norm(A @ v - lam * B @ v)
         bound = 1e-8 * (np.linalg.norm(A, "fro") + abs(lam) * np.linalg.norm(B, "fro"))
         assert r <= bound
+    assert np.all(np.diff(pairs.values) <= 0)
+    npt.assert_allclose(np.linalg.norm(pairs.vectors, axis=0), np.ones(4), rtol=1e-14)
+    npt.assert_allclose(pairs.values, np.sort(sla.eigvals(A, B).real)[::-1][:4], rtol=1e-10)
 
 
-def test_gen_eig_left_multiplication_invariance():
-    # multiplying both operators on the left by an invertible P leaves the
-    # spectrum alone (the default ridge is small enough not to disturb it)
+def test_gen_eig_congruence_invariance():
+    # the congruence (P^T A P, P^T B P) with an invertible P keeps the
+    # spectrum (the default ridge is small enough not to disturb it), and
+    # its eigenvectors are P^-1 times the original ones
     rng = np.random.default_rng(2)
     A0 = rng.standard_normal((6, 6))
     A = A0 @ A0.T
     B0 = rng.standard_normal((6, 6))
     B = B0 @ B0.T + 6 * np.eye(6)
     P = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    w1 = gen_eig(A, B, 3).values
-    w2 = gen_eig(P @ A, P @ B, 3).values
-    npt.assert_allclose(w1, w2, rtol=1e-8)
+    p1 = gen_eig(A, B, 3)
+    p2 = gen_eig(P.T @ A @ P, P.T @ B @ P, 3)
+    npt.assert_allclose(p1.values, p2.values, rtol=1e-8)
+    mapped = P @ p2.vectors
+    mapped /= np.linalg.norm(mapped, axis=0)
+    npt.assert_allclose(np.abs(np.sum(mapped * p1.vectors, axis=0)), np.ones(3), atol=1e-8)
 
 
 def test_gen_eig_explicit_ridge():
@@ -80,9 +87,14 @@ def test_gen_eig_explicit_ridge():
 
 
 def test_gen_eig_errors():
+    # a rotation has a complex spectrum; it is rejected as nonsymmetric
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(ComplexSpectrum):
+    with pytest.raises(InvalidInput, match="symmetric"):
         gen_eig(rot, np.eye(2), 2)
+    with pytest.raises(InvalidInput, match="symmetric"):
+        gen_eig(np.eye(2), rot + 3 * np.eye(2), 1)
+    with pytest.raises(SingularMatrix, match="positive definite"):
+        gen_eig(np.eye(2), -np.eye(2), 1)
     with pytest.raises(InvalidInput):
         gen_eig(np.eye(2), np.eye(3), 1)
     with pytest.raises(InvalidInput):
@@ -90,6 +102,14 @@ def test_gen_eig_errors():
     nan = np.full((2, 2), np.nan)
     with pytest.raises(SingularMatrix):
         gen_eig(nan, np.eye(2), 1)
+
+
+def test_positive_eig_keeps_numerical_range():
+    pairs = positive_eig(np.diag([4.0, 0.0, 1e-13, 2.0, -1e-15]))
+    npt.assert_allclose(pairs.values, [4.0, 2.0])
+    npt.assert_allclose(np.abs(pairs.vectors), np.eye(5)[:, [0, 3]], atol=1e-14)
+    # the threshold is relative to max(largest, 1)
+    assert len(positive_eig(np.diag([1e-11, 1e-13])).values) == 1
 
 
 def test_ridge_inverse():
