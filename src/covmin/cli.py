@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -23,18 +24,43 @@ from .evaluate import (
 from .kernels import RBF, KernelSpec
 
 
+def _positive(convert):
+    """argparse type: convert(text), finite and > 0; any other value is a
+    usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            ok = value > 0 and math.isfinite(value)
+        except (ValueError, OverflowError):  # not a number; an int beyond float
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive {convert.__name__}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
+def _positive_ints(text: str) -> list[int]:
+    return [_positive_int(item) for item in text.split(",")]
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="input CSV path")
     p.add_argument("--output", help="output path (or prefix for eval)")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="dcm")
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, help="rbf width for the input kernel")
-    p.add_argument("--gamma-y", type=float, dest="gamma_y",
+    p.add_argument("--epsilon", type=_positive_float, default=1e-3)
+    p.add_argument("--gamma", type=_positive_float, help="rbf width for the input kernel")
+    p.add_argument("--gamma-y", type=_positive_float, dest="gamma_y",
                    help="rbf width for continuous outputs (median heuristic if omitted)")
-    p.add_argument("--m", type=int, default=5, help="projection dimension")
-    p.add_argument("--M", type=int, default=50, help="landmark count for fast algorithms")
+    p.add_argument("--m", type=_positive_int, default=5, help="projection dimension")
+    p.add_argument("--M", type=_positive_int, default=50,
+                   help="landmark count for fast algorithms")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=int, default=20)
+    p.add_argument("--reps", type=_positive_int, default=20)
     p.add_argument("--feature-cols", default="auto",
                    help="comma-separated feature columns, or 'auto'")
     p.add_argument("--label-col", default="y")
@@ -162,12 +188,11 @@ def _eval_with_model(args, algorithms):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
     algorithms = tuple(a.strip() for a in args.compare.split(",") if a.strip())
     gamma = args.gamma if args.gamma is not None else 0.5
     spec_x = KernelSpec(RBF, gamma)
     rows = []
-    for nominal in sizes:
+    for nominal in args.sizes:
         data = synth_generate(SynthConfig(
             eta=args.eta, seed=args.seed, mean_count=max(1, nominal // 10),
         ))
@@ -199,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a multi-domain synthetic CSV")
     _add_shared(p)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--domains", type=int, default=10)
-    p.add_argument("--dim", type=int, default=10)
-    p.add_argument("--mean-count", type=int, default=100)
+    p.add_argument("--domains", type=_positive_int, default=10)
+    p.add_argument("--dim", type=_positive_int, default=10)
+    p.add_argument("--mean-count", type=_positive_int, default=100)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a projection model from a CSV")
@@ -216,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="repeated-experiment report")
     _add_shared(p)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--lam", type=float, default=0.1)
+    p.add_argument("--lam", type=_positive_float, default=0.1)
     p.add_argument("--compare", default="dcm,coir,baseline")
     p.add_argument("--model", help="score a fitted model instead of end-to-end")
     p.add_argument("--train-domains", help="comma list of training domains (with --model)")
@@ -225,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="wall-clock timing sweep")
     _add_shared(p)
     p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--sizes", default="1000,2000,4000")
+    p.add_argument("--sizes", type=_positive_ints, default="1000,2000,4000")
     p.add_argument("--compare", default="fastdcm")
     p.set_defaults(func=cmd_bench)
     return parser

@@ -14,6 +14,7 @@ Degenerations: zeroing the domain Gram gives inverse-regression behavior
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -26,12 +27,12 @@ from .datagen import DataSet
 from .errors import InvalidInput, RankDeficient
 from .kernels import (
     DELTA,
+    RBF,
     KernelSpec,
-    center_cross_from_means,
     center_gram,
     centered_gram,
-    cross_gram,
     gram,
+    rbf_cross_product,
 )
 from .linalg import gen_eig, positive_eig
 
@@ -43,7 +44,12 @@ _VERSION = 1
 class ProjectionModel:
     """Fitted projection: coefficients over training points plus the data
     needed to project new inputs (training inputs, kernel spec, centering
-    statistics). landmarks is None for dense fits."""
+    statistics). landmarks is None for dense fits.
+
+    The first transform derives serving constants from these arrays and
+    keeps them (see _serving), so edit a model's arrays before that call,
+    not after.
+    """
 
     algorithm: str
     coefficients: np.ndarray
@@ -56,6 +62,25 @@ class ProjectionModel:
     @property
     def m(self) -> int:
         return self.coefficients.shape[1]
+
+    @functools.cached_property
+    def _serving(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(beta, offset, train_sq_norms) for transform.
+
+        beta = H coef is the coefficients less their column means,
+        offset = beta^T row_means, and train_sq_norms are the squared norms
+        of the training rows. They are not serialized: a loaded model
+        derives the same values bit for bit.
+        """
+        beta = self.coefficients - self.coefficients.mean(axis=0)
+        return (beta, beta.T @ self.row_means,
+                np.einsum("ij,ij->i", self.train_X, self.train_X))
+
+
+def _check_input_kernel(spec_x) -> None:
+    # transform evaluates the input kernel as an RBF (rbf_cross_product)
+    if not isinstance(spec_x, KernelSpec) or spec_x.kind != RBF:
+        raise InvalidInput(f"the input kernel must be rbf, got {spec_x!r}")
 
 
 def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
@@ -135,6 +160,7 @@ def _positive_basis(Kx: np.ndarray, m: int):
 
 def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
                    zero_domain: bool) -> ProjectionModel:
+    _check_input_kernel(spec_x)
     X = data.X
     N = X.shape[0]
     if not 1 <= m <= N:
@@ -187,6 +213,7 @@ def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
 def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int) -> ProjectionModel:
     """Unsupervised degeneration: top-m eigenvectors of the centered input
     Gram, scaled like the other fits (unit norm under the Gram)."""
+    _check_input_kernel(spec_x)
     X = data.X
     N = X.shape[0]
     if not 1 <= m <= N:
@@ -209,10 +236,15 @@ def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int) -> ProjectionModel:
 def transform(model: ProjectionModel, Z) -> np.ndarray:
     """Project new inputs; returns an m x N_T coordinate matrix.
 
-    Builds the training-to-test cross-Gram, centers it against training
-    statistics, and applies the fitted coefficients. Projecting the
-    training inputs reproduces the coefficients applied to the centered
-    training Gram.
+    The result is coef^T H (K(X, Z) - row_means 1^T): the fitted
+    coefficients applied to the training-to-test cross-Gram centered
+    against training statistics. It is evaluated as beta^T K(X, Z) - offset
+    with beta = H coef (see ProjectionModel._serving), one fused pass over
+    blocks of training rows. Projecting the training inputs reproduces the
+    coefficients applied to the centered training Gram.
+
+    Cost: O(N N_T d) time. Working memory beyond the m x N_T result is
+    O(B), B = kernels._BLOCK entries (2 MB), whatever N_T is.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim == 1:
@@ -224,9 +256,10 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
         )
     if not np.isfinite(Z).all():
         raise InvalidInput("query points must be finite")
-    Kz = cross_gram(model.spec_x, model.train_X, Z)
-    Kz = center_cross_from_means(Kz, model.row_means)
-    return model.coefficients.T @ Kz
+    beta, offset, train_sq_norms = model._serving
+    out = rbf_cross_product(model.spec_x.gamma, model.train_X, train_sq_norms, Z, beta)
+    out -= offset[:, None]
+    return out
 
 
 def save_model(model: ProjectionModel, path: str) -> None:
@@ -281,6 +314,8 @@ def _parse_header(blob: bytes, path: str) -> dict:
            if type(header[k]) is not int or header[k] < 0]
     if bad:
         raise InvalidInput(f"{path}: model header counts {bad} are not non-negative integers")
+    if header["kernel_kind"] != RBF:
+        raise InvalidInput(f"{path}: model kernel {header['kernel_kind']!r} is not rbf")
     return header
 
 

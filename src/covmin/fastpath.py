@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .datagen import DataSet
-from .dcm import ProjectionModel, _canonical_signs
+from .dcm import ProjectionModel, _canonical_signs, _check_input_kernel
 from .errors import ComplexSpectrum, InvalidInput, RankDeficient
 from .kernels import DELTA, KernelSpec, cross_gram
 from .linalg import ridge_inverse, sym_eig
@@ -183,6 +183,7 @@ def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray, m: int):
 
 def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
               algorithm, zero_domain) -> ProjectionModel:
+    _check_input_kernel(spec_x)
     N = len(data)
     if not 1 <= m <= M:
         raise InvalidInput(f"m must be in [1, M={M}], got {m}")

@@ -3,7 +3,11 @@
 All projection models in this package operate on centered Gram matrices,
 which realizes the zero-mean feature-map convention: K <- HKH with
 H = I - (1/N) 11^T. Test columns are centered against training statistics
-only, so transforming new data never peeks at test-set means.
+only, so transforming new data never peeks at test-set means. Serving
+never forms those centered columns: centering is linear, so
+coef^T H (K(X, Z) - mu 1^T) = beta^T K(X, Z) - (beta^T mu) 1^T with
+beta = H coef, and rbf_cross_product evaluates beta^T K(X, Z) block by
+block. The training row means mu still come from the training Gram alone.
 """
 from __future__ import annotations
 
@@ -16,6 +20,9 @@ from .errors import InvalidInput
 
 RBF = "rbf"
 DELTA = "delta"
+
+#: kernel entries per block of rbf_cross_product (2**18 float64, 2 MB)
+_BLOCK = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -101,6 +108,32 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     return np.exp(-spec.gamma * _sq_dists(Xp, Zp))
 
 
+def rbf_cross_product(gamma: float, X: np.ndarray, x_sq_norms: np.ndarray,
+                      Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """weights^T K(X, Z) for the RBF kernel, shape m x N_T.
+
+    K is never formed: rows of X are taken max(1, _BLOCK // N_T) at a
+    time, so at most _BLOCK kernel entries exist at once whatever N_T is.
+    x_sq_norms are the squared row norms of X, which the caller keeps.
+    """
+    sz = np.einsum("ij,ij->i", Z, Z)
+    n_test = Z.shape[0]
+    out = np.zeros((weights.shape[1], n_test))
+    step = max(1, _BLOCK // max(n_test, 1))
+    for lo in range(0, X.shape[0], step):
+        hi = lo + step
+        # exp(-gamma * max(|x|^2 + |z|^2 - 2 x.z, 0)), all in place
+        G = X[lo:hi] @ Z.T
+        G *= -2.0
+        G += x_sq_norms[lo:hi, None]
+        G += sz
+        np.maximum(G, 0.0, out=G)
+        G *= -gamma
+        np.exp(G, out=G)
+        out += weights[lo:hi].T @ G
+    return out
+
+
 def center_gram(K: np.ndarray) -> np.ndarray:
     """Double-center a square Gram: K <- HKH, symmetrized."""
     K = np.asarray(K, dtype=float)
@@ -135,6 +168,4 @@ def center_cross_from_means(Kz: np.ndarray, row_means: np.ndarray) -> np.ndarray
             f"row count mismatch: Kz has {Kz.shape[0]} rows, means have {mu.shape[0]}"
         )
     V = Kz - mu[:, None]
-    # sum / N is mean()'s arithmetic without its per-call overhead, which
-    # is a visible share of a batch-1 transform
     return V - V.sum(axis=0, keepdims=True) / V.shape[0]

@@ -5,7 +5,7 @@ import pytest
 
 from covmin import DataSet, InvalidInput, KernelSpec, SynthConfig, synth_generate
 from covmin.errors import RankDeficient
-from covmin.kernels import DELTA, center_gram, gram
+from covmin.kernels import DELTA, center_cross_from_means, center_gram, cross_gram, gram
 from covmin.linalg import _require_symmetric
 
 # pass/fail lines recorded by the acceptance suite, echoed after the run
@@ -53,6 +53,13 @@ def random_dataset(rng, N, n=4, domains=3):
     y = np.where(rng.standard_normal(N) >= 0, 1.0, -1.0)
     d = rng.integers(1, domains + 1, size=N)
     return DataSet(X=X, y=y, d=d)
+
+
+def unfused_transform(model, Z) -> np.ndarray:
+    """transform as the formula reads: the full N x N_T cross-Gram,
+    centered against the training row means, then the coefficients."""
+    Kz = cross_gram(model.spec_x, model.train_X, np.asarray(Z, dtype=float))
+    return model.coefficients.T @ center_cross_from_means(Kz, model.row_means)
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:

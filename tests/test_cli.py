@@ -92,11 +92,33 @@ def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     assert rc == 1
     assert "gamma" in capsys.readouterr().err
 
-    # an explicit zero output width is rejected, not replaced by the median heuristic
-    rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
-               "--gamma", "0.5", "--label-kind", "continuous", "--gamma-y", "0"])
-    assert rc == 1
-    assert "error: InvalidInput" in capsys.readouterr().err
+
+# an explicit zero output width is rejected too, not replaced by the
+# median heuristic
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--m", "0"], "--m: expected a positive int, got '0'"),
+    (["fit", "--m", "-1"], "--m: expected a positive int, got '-1'"),
+    (["fit", "--m", "two"], "--m: expected a positive int, got 'two'"),
+    (["fit", "--M", "0"], "--M: expected a positive int"),
+    (["fit", "--epsilon", "0"], "--epsilon: expected a positive float"),
+    (["fit", "--gamma", "0"], "--gamma: expected a positive float"),
+    (["fit", "--gamma", "nan"], "--gamma: expected a positive float, got 'nan'"),
+    (["fit", "--gamma-y", "0", "--label-kind", "continuous"],
+     "--gamma-y: expected a positive float"),
+    (["eval", "--lam", "0"], "--lam: expected a positive float"),
+    (["eval", "--reps", "0"], "--reps: expected a positive int"),
+    (["bench", "--sizes", "abc"], "--sizes: expected a positive int, got 'abc'"),
+    (["bench", "--sizes", "100,0"], "--sizes: expected a positive int, got '0'"),
+    (["synth", "--domains", "0"], "--domains: expected a positive int"),
+    (["synth", "--dim", "0"], "--dim: expected a positive int"),
+    (["synth", "--mean-count", "0"], "--mean-count: expected a positive int"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", "x.csv", "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_fit_missing_input_file(tmp_path, capsys):

@@ -1,7 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import build_bundle, principal_angles, solved_pencil
+from conftest import (
+    build_bundle,
+    principal_angles,
+    random_dataset,
+    solved_pencil,
+    unfused_transform,
+)
 
 from covmin import (
     DataSet,
@@ -11,6 +17,8 @@ from covmin import (
     build_operator_pair,
     fit_coir,
     fit_dcm,
+    fit_fastcoir,
+    fit_fastdcm,
     fit_kpca,
     load_model,
     save_model,
@@ -19,7 +27,7 @@ from covmin import (
 )
 from covmin.dcm import _centered_factor
 from covmin.errors import RankDeficient
-from covmin.kernels import center_gram, gram
+from covmin.kernels import _BLOCK, center_gram, gram
 from covmin.linalg import positive_eig
 
 
@@ -222,6 +230,46 @@ def test_transform_far_point_limit(small_data, rbf):
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("kind, N, n_test", [("dense", 600, 1000), ("fast", 3000, 300)])
+def test_transform_matches_unfused_reference(kind, N, n_test, rbf):
+    rng = np.random.default_rng(N)
+    data = random_dataset(rng, N)
+    if kind == "dense":
+        model = fit_dcm(data, rbf, 1e-3, 3)
+    else:
+        model = fit_fastdcm(data, rbf, 1e-3, 3, M=50, seed=0)
+    # at least three blocks of training rows, the last one ragged
+    step = _BLOCK // n_test
+    assert N // step >= 2 and N % step != 0
+    Z = rng.standard_normal((n_test, data.X.shape[1]))
+    ref = unfused_transform(model, Z)
+    npt.assert_allclose(transform(model, Z), ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    npt.assert_allclose(transform(model, Z[:1]), ref[:, :1], rtol=0,
+                        atol=1e-12 * np.abs(ref).max())
+    assert transform(model, Z[:0]).shape == (model.m, 0)
+
+
+def test_transform_sees_edits_made_before_its_first_call(small_data, rbf):
+    # the serving constants are derived on first use, so a model edited
+    # between construction and serving is served as edited
+    model = fit_dcm(small_data, rbf, 1e-3, 2)
+    model.coefficients[0, 0] += 1.0
+    Z = small_data.X[:4]
+    npt.assert_allclose(transform(model, Z), unfused_transform(model, Z), atol=1e-12)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda data, spec: fit_dcm(data, spec, 1e-3, 2),
+    lambda data, spec: fit_coir(data, spec, 1e-3, 2),
+    lambda data, spec: fit_kpca(data, spec, 2),
+    lambda data, spec: fit_fastdcm(data, spec, 1e-3, 2, M=20, seed=0),
+    lambda data, spec: fit_fastcoir(data, spec, 1e-3, 2, M=20, seed=0),
+], ids=["dcm", "coir", "kpca", "fastdcm", "fastcoir"])
+def test_fits_require_an_rbf_input_kernel(fit, small_data):
+    with pytest.raises(InvalidInput, match="must be rbf"):
+        fit(small_data, KernelSpec("delta"))
+
+
 def test_transform_validation(small_data, rbf):
     model = fit_dcm(small_data, rbf, 1e-3, 2)
     with pytest.raises(InvalidInput):
@@ -245,8 +293,8 @@ def test_serialization_round_trip(tmp_path, small_data, rbf):
     assert back.spec_x == model.spec_x
     assert back.algorithm == "dcm"
     assert back.landmarks is None
-    npt.assert_allclose(transform(back, small_data.X[:5]),
-                        transform(model, small_data.X[:5]), atol=1e-10)
+    npt.assert_array_equal(transform(back, small_data.X[:5]),
+                           transform(model, small_data.X[:5]))
 
 
 def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
@@ -303,6 +351,10 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
         load_model(str(bad))
     bad.write_bytes(with_header(json.dumps(dict(header, kernel_gamma="0.5"))))
     with pytest.raises(InvalidInput, match="gamma"):
+        load_model(str(bad))
+    bad.write_bytes(with_header(json.dumps(dict(header, kernel_kind="delta",
+                                                kernel_gamma=None))))
+    with pytest.raises(InvalidInput, match="not rbf"):
         load_model(str(bad))
 
 

@@ -1,6 +1,7 @@
-"""Property tests of the dense fit against the N x N oracle pencil.
+"""Property tests of the dense fit against the N x N oracle pencil, and of
+the blocked transform against the unfused formula.
 
-Each example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
+Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
 fitted eigenpairs against solved_pencil, which assembles the pencil with
 explicit solves and never calls the package's solver.
@@ -8,11 +9,12 @@ explicit solves and never calls the package's solver.
 import numpy as np
 import numpy.testing as npt
 import scipy.linalg as sla
-from conftest import build_bundle, solved_pencil
+from conftest import build_bundle, solved_pencil, unfused_transform
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covmin import DataSet, KernelSpec, fit_coir, fit_dcm, transform
+from covmin import DataSet, KernelSpec, ProjectionModel, fit_coir, fit_dcm, transform
+from covmin.kernels import _BLOCK
 
 RBF = KernelSpec("rbf", 0.5)
 M = 3
@@ -87,3 +89,38 @@ def test_row_permutation_leaves_transform_unchanged(problem, perm_seed):
     b = fit_dcm(shuffled, RBF, epsilon, M, spec_y=spec_y)
     Q = data.X[:5] + 0.1
     npt.assert_allclose(transform(a, Q), transform(b, Q), atol=1e-8)
+
+
+@st.composite
+def served_models(draw):
+    """A model with arbitrary coefficients (column means not zero) and row
+    means, and a query batch. N often sits on or next to a multiple of the
+    rows per block, max(1, _BLOCK // N_T)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_test = draw(st.integers(0, 1200))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    step = max(1, _BLOCK // max(n_test, 1))
+    edges = [k * step + r for k in (1, 2, 3) for r in (-1, 0, 1)] if step <= 1400 else []
+    N = draw(st.one_of(st.integers(1, 300), st.sampled_from(edges))
+             if edges else st.integers(1, 300))
+    rng = np.random.default_rng(seed)
+    model = ProjectionModel(
+        algorithm="dcm",
+        coefficients=rng.standard_normal((N, m)),
+        eigenvalues=np.ones(m),
+        train_X=rng.standard_normal((N, d)),
+        spec_x=KernelSpec("rbf", draw(st.sampled_from([0.05, 0.5, 5.0]))),
+        row_means=rng.random(N),
+    )
+    return model, rng.standard_normal((n_test, d))
+
+
+@SETTINGS
+@given(served_models())
+def test_blocked_transform_equals_the_unfused_formula(served):
+    model, Z = served
+    ref = unfused_transform(model, Z)
+    got = transform(model, Z)
+    assert got.shape == (model.m, len(Z))
+    npt.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max(initial=0.0)))
