@@ -83,6 +83,16 @@ def _check_input_kernel(spec_x) -> None:
         raise InvalidInput(f"the input kernel must be rbf, got {spec_x!r}")
 
 
+def _one_hot(values, levels) -> np.ndarray:
+    """N x c indicator G[i, l] = 1.0 if values[i] == levels[l], else 0.0.
+
+    This is the delta kernel between values and the c distinct levels, so
+    G G^T is the delta Gram of values when every value is a level. A
+    value that is no level gets a zero row.
+    """
+    return (np.asarray(values)[:, None] == np.asarray(levels)[None, :]).astype(float)
+
+
 def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     """F with F F^T equal to the centered Gram of values under spec.
 
@@ -91,8 +101,7 @@ def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     roots of its positive eigenvalues.
     """
     if spec.kind == DELTA:
-        levels, codes = np.unique(np.asarray(values), return_inverse=True)
-        G = (codes[:, None] == np.arange(len(levels))[None, :]).astype(float)
+        G = _one_hot(values, np.unique(values))
         return G - G.mean(axis=0)
     pairs = positive_eig(center_gram(gram(spec, values)))
     return pairs.vectors * np.sqrt(pairs.values)[None, :]

@@ -6,6 +6,14 @@ M x M problem through a reduction matrix Omega; eigenvectors of the full
 problem are recovered as C_x V Theta. When every training point is a
 landmark the reduction is exact and the dense path is recovered.
 
+Only the input side is held as an N x M block. The output and domain
+sides enter the M x M blocks through a factor pair H C = F P^T (Nystrom
+factor algebra, Williams & Seeger 2001): a delta kernel's landmark
+columns are an N x c one-hot matrix (c levels among the landmark values)
+times an M x c selector, so they never become N x M. A fit costs one
+N M^2 product (Sxx) plus O(N M (c + T)) for the delta label and domain
+sides, and its memory is one N x M block.
+
 The Omega evaluation here is an algebraically identical regrouping of the
 direct formula: each product of the form Wt (S Wt + a I)^-1 is collapsed
 to (S + a Wj)^-1, where Wj is the jittered landmark block. This avoids
@@ -21,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .datagen import DataSet
-from .dcm import ProjectionModel, _canonical_signs, _check_input_kernel
+from .dcm import ProjectionModel, _canonical_signs, _check_input_kernel, _one_hot
 from .errors import ComplexSpectrum, InvalidInput, RankDeficient
 from .kernels import DELTA, KernelSpec, cross_gram
 from .linalg import ridge_inverse, sym_eig
@@ -36,17 +44,21 @@ IMAG_TOL = 1e-6
 class NystromSketch:
     """Landmark sketch of the three kernels.
 
-    C matrices are column-centered (H C); W blocks are the raw landmark
-    kernels, Wt_x is the jitter-regularized inverse of Wx; S blocks are
-    cross products of the centered C matrices. approx_row_means carries
-    the row means of the raw approximated input kernel, used to center
-    test columns at projection time.
+    Cx is the column-centered input block H C_x (N x M), with H the
+    centering matrix. The output and domain sides are used only through
+    a factor pair (F, P) with H C = F P^T and are not kept: for a delta
+    kernel F is the centered N x c one-hot matrix over the c levels among
+    the landmark values and P its M x c landmark rows; for an RBF kernel
+    F = H C and P = I. W blocks are the raw landmark kernels (W = P P^T
+    for a delta kernel), Wt_x is the jitter-regularized inverse of Wx,
+    and S blocks are cross products of the centered sides, e.g.
+    Sxy = (Cx^T F_y) P_y^T and Syy = P_y (F_y^T F_y) P_y^T.
+    approx_row_means carries the row means of the raw approximated input
+    kernel, used to center test columns at projection time.
     """
 
     landmark_indices: np.ndarray
     Cx: np.ndarray
-    Cy: np.ndarray
-    Cd: np.ndarray
     Wx: np.ndarray
     Wy: np.ndarray
     Wd: np.ndarray
@@ -83,41 +95,68 @@ def _jitter(W: np.ndarray) -> float:
     return _JITTER_SCALE * float(np.trace(W)) / M
 
 
+def _landmark_indices(landmarks, N: int) -> np.ndarray:
+    idx = np.asarray(landmarks)
+    if idx.ndim != 1 or len(idx) == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidInput("landmarks must be a non-empty 1-D array of integer indices")
+    if idx.min() < 0 or idx.max() >= N:
+        raise InvalidInput(f"landmark indices must lie in [0, {N})")
+    if len(np.unique(idx)) != len(idx):
+        raise InvalidInput("landmark indices must be distinct")
+    return idx.astype(np.int64)
+
+
+def _side_factor(spec: KernelSpec, values, idx: np.ndarray):
+    """(F, P, W) for C = cross_gram(spec, values, values[idx]): the
+    factor pair with H C = F P^T and the raw landmark block W = C[idx].
+
+    Delta: F is the centered one-hot matrix over the levels among the
+    landmark values, P = its landmark rows and W = P P^T, which is C[idx]
+    exactly. RBF: F = H C, P = I.
+    """
+    values = np.asarray(values)
+    if spec.kind == DELTA:
+        G = _one_hot(values, np.unique(values[idx]))
+        P = G[idx]
+        return G - G.mean(axis=0), P, P @ P.T
+    C = cross_gram(spec, values, values[idx])
+    W = C[idx].copy()
+    C -= C.mean(axis=0)
+    return C, np.eye(len(idx)), W
+
+
 def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks,
                  spec_y: KernelSpec | None = None,
                  spec_d: KernelSpec | None = None) -> NystromSketch:
-    """Assemble landmark columns, regularized blocks, and cross products.
+    """Assemble the input block, regularized blocks, and cross products.
 
     Centering subtracts each C column's mean, which centers the
     approximated kernel exactly: H (C W^-1 C^T) H = (HC) W^-1 (HC)^T.
+    landmarks must be distinct integer indices in [0, N).
     """
     spec_y = spec_y or KernelSpec(DELTA)
     spec_d = spec_d or KernelSpec(DELTA)
-    idx = np.asarray(landmarks, dtype=np.int64)
-    if len(np.unique(idx)) != len(idx):
-        raise InvalidInput("landmark indices must be distinct")
     N = len(data)
-    M = len(idx)
+    idx = _landmark_indices(landmarks, N)
     Cx = cross_gram(spec_x, data.X, data.X[idx])
-    Cy = cross_gram(spec_y, data.y, data.y[idx])
-    Cd = cross_gram(spec_d, data.d, data.d[idx])
-    Wx, Wy, Wd = Cx[idx].copy(), Cy[idx].copy(), Cd[idx].copy()
-    jx, jy, jd = _jitter(Wx), _jitter(Wy), _jitter(Wd)
+    Wx = Cx[idx].copy()
+    jx = _jitter(Wx)
     Wt_x = ridge_inverse(Wx, jx)
     # row means of the raw approximated input kernel, O(NM)
     ones_proj = Cx.T @ np.full(N, 1.0 / N)
     approx_row_means = Cx @ (Wt_x @ ones_proj)
-    Cx = Cx - Cx.mean(axis=0, keepdims=True)
-    Cy = Cy - Cy.mean(axis=0, keepdims=True)
-    Cd = Cd - Cd.mean(axis=0, keepdims=True)
+    Cx -= Cx.mean(axis=0)
+    Fy, Py, Wy = _side_factor(spec_y, data.y, idx)
+    Fd, Pd, Wd = _side_factor(spec_d, data.d, idx)
     return NystromSketch(
         landmark_indices=idx,
-        Cx=Cx, Cy=Cy, Cd=Cd,
+        Cx=Cx,
         Wx=Wx, Wy=Wy, Wd=Wd,
         Wt_x=Wt_x,
-        jitter_x=jx, jitter_y=jy, jitter_d=jd,
-        Sxx=Cx.T @ Cx, Sxy=Cx.T @ Cy, Sxd=Cx.T @ Cd,
-        Syy=Cy.T @ Cy, Sdd=Cd.T @ Cd,
+        jitter_x=jx, jitter_y=_jitter(Wy), jitter_d=_jitter(Wd),
+        Sxx=Cx.T @ Cx,
+        Sxy=(Cx.T @ Fy) @ Py.T, Sxd=(Cx.T @ Fd) @ Pd.T,
+        Syy=Py @ (Fy.T @ Fy) @ Py.T, Sdd=Pd @ (Fd.T @ Fd) @ Pd.T,
         approx_row_means=approx_row_means,
     )
 
@@ -160,11 +199,11 @@ def compute_omega(sk: NystromSketch, N: int, epsilon: float,
 
 
 def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray, m: int):
-    """Eigenvector recovery: eigenvalues and coefficients C_x V Theta,
-    sorted by descending real part, with the complex spectrum kept for the
-    caller's retained-eigenvalue policy. Columns beyond the numerical rank
-    of the sketch are dropped; an effective rank below m raises
-    RankDeficient."""
+    """Eigenvector recovery in landmark space: the m leading eigenvalues
+    (complex, by descending real part) and the M x m matrix B = V Theta
+    of their directions, so that the coefficients are C_x B. Columns
+    beyond the numerical rank of the sketch are dropped; an effective
+    rank below m raises RankDeficient."""
     pairs = sym_eig(sk.Sxx)
     lam2 = pairs.values
     keep = lam2 > _RANK_TOL * max(lam2[0], 0.0)
@@ -174,11 +213,8 @@ def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray, m: int):
     lam2 = lam2[keep]
     G = (Vr.T @ omega @ Vr) * lam2[None, :]
     w, Theta = sla.eig(G)
-    order = np.argsort(-w.real, kind="stable")
-    w = w[order]
-    Theta = Theta[:, order]
-    coefs = sk.Cx @ (Vr @ Theta.real)
-    return w, coefs
+    order = np.argsort(-w.real, kind="stable")[:m]
+    return w[order], Vr @ Theta[:, order].real
 
 
 def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
@@ -192,25 +228,20 @@ def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
     idx = sample_landmarks(N, M, seed)
     sk = build_sketch(data, spec_x, idx, spec_y=spec_y, spec_d=spec_d)
     omega = compute_omega(sk, N, epsilon, zero_domain=zero_domain)
-    w, coefs = _fast_eig_raw(sk, omega, m)
-    w = w[:m]
+    w, B = _fast_eig_raw(sk, omega, m)
     bad = np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))
     if np.any(bad):
         raise ComplexSpectrum(
             "retained eigenvalue has a non-negligible imaginary part; "
             "increase M or epsilon"
         )
-    coefs = coefs[:, :m].copy()
-    # unit norm under the centered approximated Gram, evaluated as
-    # t^T Wt_x t with t = Cx^T beta (never forms an N x N matrix)
-    Wxj = sk.Wx + sk.jitter_x * np.eye(M)
-    for col in range(m):
-        t = sk.Cx.T @ coefs[:, col]
-        s = abs(float(t @ np.linalg.solve(Wxj, t)))
-        if s < 1e-300:
-            raise RankDeficient("projection direction has zero norm under the sketch")
-        coefs[:, col] /= np.sqrt(s)
-    coefs = _canonical_signs(coefs)
+    # unit norm under the centered approximated Gram, t^T Wt_x t with
+    # t = Cx^T Cx b = Sxx b, evaluated for all m columns in one solve
+    T = sk.Sxx @ B
+    s = np.abs(np.einsum("ij,ij->j", T, np.linalg.solve(sk.Wx + sk.jitter_x * np.eye(M), T)))
+    if np.any(s < 1e-300):
+        raise RankDeficient("projection direction has zero norm under the sketch")
+    coefs = _canonical_signs(sk.Cx @ (B / np.sqrt(s)))
     return ProjectionModel(
         algorithm=algorithm,
         coefficients=coefs,
@@ -227,6 +258,11 @@ def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
                 spec_y: KernelSpec | None = None,
                 spec_d: KernelSpec | None = None) -> ProjectionModel:
     """Landmark-approximated fit; requires m <= M <= N.
+
+    Cost: one N x M input kernel block and one N M^2 product, plus
+    O(N M (c + T)) for delta output and domain kernels, which enter as
+    N x c and N x T one-hot factors (an RBF output kernel adds its own
+    N x M block and N M^2 product). Memory is one N x M block.
 
     The returned model projects new data exactly like the dense fit: the
     full training-to-test cross kernel is applied to the coefficients,

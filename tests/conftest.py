@@ -62,6 +62,25 @@ def unfused_transform(model, Z) -> np.ndarray:
     return model.coefficients.T @ center_cross_from_means(Kz, model.row_means)
 
 
+def sketch_blocks(data, idx, spec_x, spec_y=None, spec_d=None) -> dict:
+    """The sketch's W and S blocks as the formulas read, from the N x M
+    landmark columns C = cross_gram(spec, values, values[idx]) of each
+    side: W = C[idx], and S_ab = (H C_a)^T (H C_b) with an explicit
+    centering matrix H. spec_y and spec_d default to delta."""
+    idx = np.asarray(idx)
+    N = len(data)
+    H = np.eye(N) - np.full((N, N), 1.0 / N)
+    sides = {"x": (spec_x, data.X),
+             "y": (spec_y or KernelSpec(DELTA), data.y),
+             "d": (spec_d or KernelSpec(DELTA), data.d)}
+    C = {k: cross_gram(spec, v, v[idx]) for k, (spec, v) in sides.items()}
+    HC = {k: H @ c for k, c in C.items()}
+    blocks = {f"W{k}": c[idx] for k, c in C.items()}
+    for a, b in ("xx", "xy", "xd", "yy", "dd"):
+        blocks[f"S{a}{b}"] = HC[a].T @ HC[b]
+    return blocks
+
+
 def eval_kernel(spec: KernelSpec, a, b) -> float:
     """Evaluate the kernel on a single pair."""
     if spec.kind == DELTA:

@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import principal_angles
+from conftest import principal_angles, sketch_blocks
 
 from covmin import (
     ComplexSpectrum,
@@ -38,17 +38,32 @@ def test_sample_landmarks_contract():
         sample_landmarks(10, 11, 1)
 
 
+def _assert_blocks_match(sk, oracle):
+    for name in ("Wx", "Wy", "Wd"):
+        npt.assert_array_equal(getattr(sk, name), oracle[name], err_msg=name)
+    for name in ("Sxx", "Sxy", "Sxd", "Syy", "Sdd"):
+        npt.assert_allclose(getattr(sk, name), oracle[name], rtol=0, atol=1e-12,
+                            err_msg=name)
+
+
 def test_build_sketch_small_blocks(rbf, small_data):
-    idx = sample_landmarks(len(small_data), 8, 2)
+    N = len(small_data)
+    idx = sample_landmarks(N, 8, 2)
     sk = build_sketch(small_data, rbf, idx)
+    # default delta label and domain kernels, against H cross_gram blocks
+    _assert_blocks_match(sk, sketch_blocks(small_data, idx, rbf))
     npt.assert_allclose(sk.Sxx, sk.Cx.T @ sk.Cx, atol=1e-12)
-    npt.assert_allclose(sk.Sxy, sk.Cx.T @ sk.Cy, atol=1e-12)
     npt.assert_array_equal(sk.Syx, sk.Sxy.T)
     npt.assert_array_equal(sk.Sdx, sk.Sxd.T)
     # column centering is exact
     npt.assert_allclose(sk.Cx.sum(axis=0), np.zeros(8), atol=1e-9)
-    with pytest.raises(InvalidInput):
-        build_sketch(small_data, rbf, [1, 1, 2])
+    # RBF output and domain kernels
+    for seed in range(3):
+        sk, data, idx = _well_conditioned_sketch(seed)
+        _assert_blocks_match(sk, sketch_blocks(data, idx, *_WELL_CONDITIONED_SPECS))
+    for bad in ([1, 1, 2], [0, N], [N - 1, -1], [0, -1], [0.5, 1.7], [], [[0, 1]]):
+        with pytest.raises(InvalidInput):
+            build_sketch(small_data, rbf, bad)
 
 
 def test_sketch_one_sided_centering_identity(rbf, small_data):
@@ -76,6 +91,11 @@ def test_sketch_full_sampling_reconstructs_gram(rbf):
     npt.assert_allclose(sk.approx_row_means, gram(rbf, data.X).mean(axis=1), atol=1e-6)
 
 
+#: input, output and domain kernels of _well_conditioned_sketch
+_WELL_CONDITIONED_SPECS = (KernelSpec("rbf", 0.7), KernelSpec("rbf", 0.4),
+                           KernelSpec("rbf", 0.9))
+
+
 def _well_conditioned_sketch(seed, N=40, M=3):
     """Sketch with RBF kernels on all three variables, so every landmark
     block is invertible without leaning on the jitter."""
@@ -85,17 +105,16 @@ def _well_conditioned_sketch(seed, N=40, M=3):
         y=rng.standard_normal(N),
         d=rng.standard_normal(N),
     )
-    spec = KernelSpec("rbf", 0.7)
+    spec_x, spec_y, spec_d = _WELL_CONDITIONED_SPECS
     idx = sample_landmarks(N, M, seed)
-    sk = build_sketch(data, spec, idx, spec_y=KernelSpec("rbf", 0.4),
-                      spec_d=KernelSpec("rbf", 0.9))
-    return sk, N
+    return build_sketch(data, spec_x, idx, spec_y=spec_y, spec_d=spec_d), data, idx
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compute_omega_transcription_oracle(seed):
     """Direct evaluation of the reduction formula, explicit inverses."""
-    sk, N = _well_conditioned_sketch(seed)
+    sk, data, _ = _well_conditioned_sketch(seed)
+    N = len(data)
     eps = 1e-2
     Ne = N * eps
     M = sk.Sxx.shape[0]
@@ -124,7 +143,7 @@ def test_compute_omega_zero_blocks():
     zero = np.zeros((M, M))
     sk = NystromSketch(
         landmark_indices=np.arange(M),
-        Cx=np.zeros((6, M)), Cy=np.zeros((6, M)), Cd=np.zeros((6, M)),
+        Cx=np.zeros((6, M)),
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
         Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
@@ -150,7 +169,7 @@ def test_fast_eig_identity_case():
     rng = np.random.default_rng(5)
     sk = NystromSketch(
         landmark_indices=np.arange(M),
-        Cx=rng.standard_normal((N, M)), Cy=np.zeros((N, M)), Cd=np.zeros((N, M)),
+        Cx=rng.standard_normal((N, M)),
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
         Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
@@ -158,9 +177,9 @@ def test_fast_eig_identity_case():
         Syy=np.eye(M), Sdd=np.eye(M),
         approx_row_means=np.zeros(N),
     )
-    vals, coefs = _fast_eig_raw(sk, np.eye(M), M)
+    vals, B = _fast_eig_raw(sk, np.eye(M), M)
     npt.assert_allclose(vals, np.ones(M), atol=1e-12)
-    assert coefs.shape == (N, M)
+    assert (sk.Cx @ B).shape == (N, M)
 
 
 def test_fast_eig_rank_one_sketch():
@@ -170,7 +189,7 @@ def test_fast_eig_rank_one_sketch():
     Cx = u @ v
     sk = NystromSketch(
         landmark_indices=np.arange(M),
-        Cx=Cx, Cy=np.zeros((N, M)), Cd=np.zeros((N, M)),
+        Cx=Cx,
         Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
         Wt_x=np.eye(M),
         jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
@@ -178,8 +197,8 @@ def test_fast_eig_rank_one_sketch():
         Syy=np.eye(M), Sdd=np.eye(M),
         approx_row_means=np.zeros(N),
     )
-    vals, coefs = _fast_eig_raw(sk, np.eye(M), 1)
-    assert coefs.shape[1] == 1
+    vals, B = _fast_eig_raw(sk, np.eye(M), 1)
+    assert (sk.Cx @ B).shape[1] == 1
     with pytest.raises(RankDeficient):
         _fast_eig_raw(sk, np.eye(M), 2)
 
@@ -195,6 +214,15 @@ def test_full_sampling_matches_dense(rbf):
     # transforms agree too at full sampling
     Q = data.X[:9] * 0.9
     npt.assert_allclose(transform(fast, Q), transform(dense, Q), atol=1e-4)
+
+
+@pytest.mark.parametrize("fit", [fit_fastdcm, fit_fastcoir])
+def test_fast_coefficients_have_unit_norm_under_the_sketch(rbf, small_data, fit):
+    model = fit(small_data, rbf, 1e-3, 4, 20, 3)
+    sk = build_sketch(small_data, rbf, model.landmarks)
+    approx = sk.Cx @ sk.Wt_x @ sk.Cx.T
+    norms = np.einsum("ij,ij->j", model.coefficients, approx @ model.coefficients)
+    npt.assert_allclose(norms, np.ones(4), rtol=1e-8)
 
 
 def test_fit_fast_validation(rbf, small_data):

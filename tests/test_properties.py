@@ -1,20 +1,37 @@
-"""Property tests of the dense fit against the N x N oracle pencil, and of
-the blocked transform against the unfused formula.
+"""Property tests of the dense fit against the N x N oracle pencil, of the
+landmark sketch against its blocks as the formulas read, and of the
+blocked transform against the unfused formula.
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
 fitted eigenpairs against solved_pencil, which assembles the pencil with
-explicit solves and never calls the package's solver.
+explicit solves and never calls the package's solver. With every point a
+landmark, the fast fit must span the dense fit's subspace.
 """
 import numpy as np
 import numpy.testing as npt
 import scipy.linalg as sla
-from conftest import build_bundle, solved_pencil, unfused_transform
+from conftest import (
+    build_bundle,
+    principal_angles,
+    sketch_blocks,
+    solved_pencil,
+    unfused_transform,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from covmin import DataSet, KernelSpec, ProjectionModel, fit_coir, fit_dcm, transform
-from covmin.kernels import _BLOCK
+from covmin import (
+    DataSet,
+    KernelSpec,
+    ProjectionModel,
+    build_sketch,
+    fit_coir,
+    fit_dcm,
+    fit_fastdcm,
+    transform,
+)
+from covmin.kernels import _BLOCK, center_gram, gram
 
 RBF = KernelSpec("rbf", 0.5)
 M = 3
@@ -75,20 +92,67 @@ def test_coir_equals_dcm_on_one_domain(problem):
     npt.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
 
 
-@SETTINGS
-@given(problems(), st.integers(0, 2**32 - 1))
-def test_row_permutation_leaves_transform_unchanged(problem, perm_seed):
-    data, spec_y, epsilon = problem
+def _assume_separated(data, spec_y, epsilon):
     # the retained directions are only defined up to rotation within a
     # (near-)tied eigenvalue cluster
     vals = _top_values(*_oracle(data, spec_y, epsilon), M + 1)
     assume(np.min(-np.diff(vals)) > 1e-6 * vals[0])
+
+
+@SETTINGS
+@given(problems(), st.integers(0, 2**32 - 1))
+def test_row_permutation_leaves_transform_unchanged(problem, perm_seed):
+    data, spec_y, epsilon = problem
+    _assume_separated(data, spec_y, epsilon)
     perm = np.random.default_rng(perm_seed).permutation(len(data))
     shuffled = DataSet(X=data.X[perm], y=data.y[perm], d=data.d[perm])
     a = fit_dcm(data, RBF, epsilon, M, spec_y=spec_y)
     b = fit_dcm(shuffled, RBF, epsilon, M, spec_y=spec_y)
     Q = data.X[:5] + 0.1
     npt.assert_allclose(transform(a, Q), transform(b, Q), atol=1e-8)
+
+
+@SETTINGS
+@given(problems())
+def test_full_sampling_fast_fit_spans_the_dense_subspace(problem):
+    data, spec_y, epsilon = problem
+    _assume_separated(data, spec_y, epsilon)
+    dense = fit_dcm(data, RBF, epsilon, M, spec_y=spec_y)
+    fast = fit_fastdcm(data, RBF, epsilon, M, len(data), 0, spec_y=spec_y)
+    angles = principal_angles(dense.coefficients, fast.coefficients,
+                              center_gram(gram(RBF, data.X)))
+    assert np.max(angles) <= 1e-4
+
+
+@st.composite
+def sketch_problems(draw):
+    """Landmark draws over 1-4 classes and 1-5 domains. A continuous
+    output under the default delta kernel has one level per landmark, and
+    every row that is no landmark matches none of them."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    N = draw(st.integers(2, 60))
+    M_ = draw(st.integers(1, N))
+    classes = draw(st.integers(1, 4))
+    domains = draw(st.integers(1, 5))
+    continuous = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, 3))
+    y = rng.standard_normal(N) if continuous else rng.integers(0, classes, size=N).astype(float)
+    d = rng.integers(1, domains + 1, size=N)
+    return DataSet(X=X, y=y, d=d), rng.choice(N, size=M_, replace=False)
+
+
+@SETTINGS
+@given(sketch_problems())
+def test_sketch_blocks_equal_the_landmark_column_blocks(problem):
+    data, idx = problem
+    sk = build_sketch(data, RBF, idx)
+    oracle = sketch_blocks(data, idx, RBF)
+    for name in ("Wx", "Wy", "Wd"):
+        npt.assert_array_equal(getattr(sk, name), oracle[name], err_msg=name)
+    for name in ("Sxx", "Sxy", "Sxd", "Syy", "Sdd"):
+        npt.assert_allclose(getattr(sk, name), oracle[name], rtol=0, atol=1e-12,
+                            err_msg=name)
 
 
 @st.composite
