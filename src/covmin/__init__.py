@@ -3,11 +3,13 @@ domain-specific variation, with a landmark-based fast path.
 """
 from .datagen import DataSet, SynthConfig, load_csv, sample_wishart, save_csv, split_domains, synth_generate
 from .dcm import (
+    KernelFactor,
     ProjectionModel,
     build_operator_pair,
     fit_coir,
     fit_dcm,
     fit_kpca,
+    kernel_factor,
     load_model,
     save_model,
     transform,
@@ -53,7 +55,8 @@ __all__ = [
     "EigPairs", "sym_eig", "gen_eig", "ridge_inverse",
     "DataSet", "SynthConfig", "synth_generate", "sample_wishart",
     "load_csv", "save_csv", "split_domains",
-    "ProjectionModel", "build_operator_pair", "fit_dcm", "fit_coir", "fit_kpca",
+    "ProjectionModel", "KernelFactor", "kernel_factor", "build_operator_pair",
+    "fit_dcm", "fit_coir", "fit_kpca",
     "transform", "save_model", "load_model",
     "NystromSketch", "sample_landmarks", "build_sketch", "compute_omega",
     "fit_fastdcm", "fit_fastcoir",

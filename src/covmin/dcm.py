@@ -8,6 +8,8 @@ under which the rank-M landmark path (fastpath module) recovers the dense
 solution exactly when every point is a landmark. In the eigenbasis of the
 centered input Gram the same problem is an r x r symmetric-definite
 pencil (build_operator_pair), so its spectrum is real by construction.
+That eigenbasis is a KernelFactor (kernel_factor); fits on the same rows
+can share one through their factor= keyword.
 
 Degenerations: zeroing the domain Gram gives inverse-regression behavior
 (coir); dropping supervision entirely reduces to kernel PCA (kpca).
@@ -157,89 +159,122 @@ def _canonical_signs(coef: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _positive_basis(Kx: np.ndarray, m: int):
-    """Eigenpairs of the centered Gram over its numerical range; at least m."""
+@dataclass
+class KernelFactor:
+    """Eigenbasis of the centered input Gram of the rows X under spec:
+    H K H = vectors diag(values) vectors^T over the r eigenvalues above
+    1e-12 * max(largest, 1) (linalg.positive_eig), values descending.
+    row_means are the row means of the raw Gram K, which center test
+    columns (kernels.center_cross_from_means).
+    """
+
+    spec: KernelSpec
+    X: np.ndarray
+    vectors: np.ndarray
+    values: np.ndarray
+    row_means: np.ndarray
+
+
+def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
+    """Build the KernelFactor of the rows X: one N x N Gram and one N x N
+    symmetric eigendecomposition. fit_dcm, fit_coir and fit_kpca on a
+    dataset with these rows accept it as factor=.
+    """
+    _check_input_kernel(spec_x)
+    X = np.array(X, dtype=float)
+    Kx, row_means = centered_gram(spec_x, X)
     pairs = positive_eig(Kx)
-    if len(pairs.values) < m:
+    return KernelFactor(spec=spec_x, X=X, vectors=pairs.vectors, values=pairs.values,
+                        row_means=row_means)
+
+
+def _input_factor(data: DataSet, spec_x, m: int, factor: KernelFactor | None):
+    """The input factor of data.X, built unless given; it must span at least
+    m directions."""
+    _check_input_kernel(spec_x)
+    N = data.X.shape[0]
+    if not 1 <= m <= N:
+        raise InvalidInput(f"m must be in [1, {N}], got {m}")
+    if factor is None:
+        factor = kernel_factor(spec_x, data.X)
+    elif factor.spec != spec_x or not np.array_equal(factor.X, data.X):
+        raise InvalidInput("factor was built from other rows or another input kernel")
+    if len(factor.values) < m:
         raise RankDeficient(
-            f"centered Gram has only {len(pairs.values)} positive directions, need {m}"
+            f"centered Gram has only {len(factor.values)} positive directions, need {m}"
         )
-    return pairs
+    return factor
+
+
+def _model(algorithm, coef, eigenvalues, X, factor) -> ProjectionModel:
+    return ProjectionModel(
+        algorithm=algorithm,
+        coefficients=_canonical_signs(coef),
+        eigenvalues=eigenvalues,
+        train_X=X.copy(),
+        spec_x=factor.spec,
+        row_means=factor.row_means.copy(),
+    )
 
 
 def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
-                   zero_domain: bool) -> ProjectionModel:
-    _check_input_kernel(spec_x)
-    X = data.X
-    N = X.shape[0]
-    if not 1 <= m <= N:
-        raise InvalidInput(f"m must be in [1, {N}], got {m}")
-    Kx, row_means = centered_gram(spec_x, X)
-    basis = _positive_basis(Kx, m)
+                   zero_domain: bool, factor) -> ProjectionModel:
+    factor = _input_factor(data, spec_x, m, factor)
+    N = data.X.shape[0]
     Fy = _centered_factor(spec_y or KernelSpec(DELTA), data.y)
     Fd = None if zero_domain else _centered_factor(spec_d or KernelSpec(DELTA), data.d)
-    L, R = build_operator_pair(basis.vectors, basis.values, Fy, Fd, epsilon)
+    L, R = build_operator_pair(factor.vectors, factor.values, Fy, Fd, epsilon)
     pairs = gen_eig(L, R, m, ridge=N * epsilon)
     # v = U lam^-1/2 w has v^T Kx v = w^T w = 1
-    coef = basis.vectors @ (pairs.vectors / np.sqrt(basis.values)[:, None])
-    coef = _canonical_signs(coef)
-    return ProjectionModel(
-        algorithm=algorithm,
-        coefficients=coef,
-        eigenvalues=pairs.values,
-        train_X=X.copy(),
-        spec_x=spec_x,
-        row_means=row_means,
-    )
+    coef = factor.vectors @ (pairs.vectors / np.sqrt(factor.values)[:, None])
+    return _model(algorithm, coef, pairs.values, data.X, factor)
 
 
 def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
             spec_y: KernelSpec | None = None,
-            spec_d: KernelSpec | None = None) -> ProjectionModel:
+            spec_d: KernelSpec | None = None, *,
+            factor: KernelFactor | None = None) -> ProjectionModel:
     """Fit the domain-suppressing projection on a multi-domain dataset.
 
     spec_y defaults to a delta kernel (discrete outputs); pass an RBF spec
     for continuous outputs. Retains the m directions with the largest
     eigenvalues, each scaled to unit norm under the centered input Gram.
 
+    factor, when given, is kernel_factor(spec_x, data.X), which the fit
+    then uses instead of building its own: fits of several algorithms on
+    one split share one. It never changes the result. A factor of other
+    rows (in another order too) or of another input kernel raises
+    InvalidInput.
+
     Cost: one N x N symmetric eigendecomposition of the centered input
-    Gram (and one of the output Gram for an RBF output kernel), then the
-    top m pairs of an r x r symmetric-definite pencil, r the numerical
-    rank of the input Gram: O(N^3) time, O(N^2) memory.
+    Gram unless factor is given (and one of the output Gram for an RBF
+    output kernel), then the top m pairs of an r x r symmetric-definite
+    pencil, r the numerical rank of the input Gram: O(N^3) time, O(N^2)
+    memory.
     """
     return _fit_projected(data, spec_x, spec_y, spec_d, epsilon, m, "dcm",
-                          zero_domain=False)
+                          zero_domain=False, factor=factor)
 
 
 def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
-             spec_y: KernelSpec | None = None) -> ProjectionModel:
+             spec_y: KernelSpec | None = None, *,
+             factor: KernelFactor | None = None) -> ProjectionModel:
     """Single-domain degeneration: the domain term is dropped, so the
-    right-hand operator is built from the input Gram alone."""
+    right-hand operator is built from the input Gram alone. factor is
+    used as in fit_dcm and never changes the result."""
     return _fit_projected(data, spec_x, spec_y, None, epsilon, m, "coir",
-                          zero_domain=True)
+                          zero_domain=True, factor=factor)
 
 
-def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int) -> ProjectionModel:
+def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int, *,
+             factor: KernelFactor | None = None) -> ProjectionModel:
     """Unsupervised degeneration: top-m eigenvectors of the centered input
-    Gram, scaled like the other fits (unit norm under the Gram)."""
-    _check_input_kernel(spec_x)
-    X = data.X
-    N = X.shape[0]
-    if not 1 <= m <= N:
-        raise InvalidInput(f"m must be in [1, {N}], got {m}")
-    Kx, row_means = centered_gram(spec_x, X)
-    pairs = _positive_basis(Kx, m)
-    vals = pairs.values[:m]
-    coef = pairs.vectors[:, :m] / np.sqrt(vals)[None, :]
-    coef = _canonical_signs(coef)
-    return ProjectionModel(
-        algorithm="kpca",
-        coefficients=coef,
-        eigenvalues=vals,
-        train_X=X.copy(),
-        spec_x=spec_x,
-        row_means=row_means,
-    )
+    Gram, scaled like the other fits (unit norm under the Gram). factor is
+    used as in fit_dcm and never changes the result."""
+    factor = _input_factor(data, spec_x, m, factor)
+    vals = factor.values[:m]
+    coef = factor.vectors[:, :m] / np.sqrt(vals)[None, :]
+    return _model("kpca", coef, vals, data.X, factor)
 
 
 def transform(model: ProjectionModel, Z) -> np.ndarray:

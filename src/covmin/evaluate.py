@@ -5,9 +5,14 @@ with an unpenalized intercept (kernel ridge in the projected space, where
 the kernel is linear). The unprojected baseline solves the standard dual
 kernel-ridge system on the centered training Gram. Classification
 thresholds scores at zero on +-1 targets.
+
+run_experiment factorizes the centered input Gram once per split
+(dcm.kernel_factor): dcm, coir, kpca and the baseline all use that one
+eigendecomposition, and the baseline solves its dual system in it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
@@ -18,30 +23,38 @@ from scipy.stats import rankdata
 
 from . import dcm, fastpath
 from .datagen import SynthConfig, split_domains, synth_generate
-from .errors import InvalidInput, RankDeficientWarning, UndefinedMetric
+from .errors import CovminError, InvalidInput, RankDeficientWarning, UndefinedMetric
 from .kernels import (
     DELTA,
     RBF,
     KernelSpec,
     center_cross_from_means,
-    centered_gram,
     cross_gram,
     median_gamma,
 )
 
+
+def _no_factor():
+    return None
+
+
 # name -> fit of a ProjectionModel. p is any object carrying epsilon, m, M
-# and seed (the CLI namespace or an ExperimentConfig). The fit functions
-# are looked up on their modules at call time, so a wrapper installed on
-# the module (such as a timing tracer) sees every fit.
+# and seed (the CLI namespace or an ExperimentConfig). factor() gives the
+# dcm.KernelFactor of data.X, or None for a fit that builds its own; only
+# the dense fits call it, so a split's factor is built only when one of
+# them runs. The fit functions are looked up on their modules at call
+# time, so a wrapper installed on the module (such as a timing tracer)
+# sees every fit.
 FITTERS = {
-    "dcm": lambda data, spec_x, spec_y, p: dcm.fit_dcm(
-        data, spec_x, p.epsilon, p.m, spec_y=spec_y),
-    "coir": lambda data, spec_x, spec_y, p: dcm.fit_coir(
-        data, spec_x, p.epsilon, p.m, spec_y=spec_y),
-    "kpca": lambda data, spec_x, spec_y, p: dcm.fit_kpca(data, spec_x, p.m),
-    "fastdcm": lambda data, spec_x, spec_y, p: fastpath.fit_fastdcm(
+    "dcm": lambda data, spec_x, spec_y, p, factor=_no_factor: dcm.fit_dcm(
+        data, spec_x, p.epsilon, p.m, spec_y=spec_y, factor=factor()),
+    "coir": lambda data, spec_x, spec_y, p, factor=_no_factor: dcm.fit_coir(
+        data, spec_x, p.epsilon, p.m, spec_y=spec_y, factor=factor()),
+    "kpca": lambda data, spec_x, spec_y, p, factor=_no_factor: dcm.fit_kpca(
+        data, spec_x, p.m, factor=factor()),
+    "fastdcm": lambda data, spec_x, spec_y, p, factor=_no_factor: fastpath.fit_fastdcm(
         data, spec_x, p.epsilon, p.m, p.M, p.seed, spec_y=spec_y),
-    "fastcoir": lambda data, spec_x, spec_y, p: fastpath.fit_fastcoir(
+    "fastcoir": lambda data, spec_x, spec_y, p, factor=_no_factor: fastpath.fit_fastcoir(
         data, spec_x, p.epsilon, p.m, p.M, p.seed, spec_y=spec_y),
 }
 
@@ -178,6 +191,11 @@ class ExperimentConfig:
 
 @dataclass
 class EvalReport:
+    """Results of run_experiment. timings[alg] holds the seconds spent in
+    fit and predict, summed over repetitions. The first of cfg.algorithms
+    that uses a split's input factor (dcm, coir, kpca or baseline) builds
+    it, so its fit time carries that build and the others' do not."""
+
     config: dict
     seeds: list
     metrics: dict = field(default_factory=dict)
@@ -236,20 +254,29 @@ def resolve_spec_y(p, y: np.ndarray) -> KernelSpec:
     return KernelSpec(DELTA)
 
 
-def _fit_and_score(alg: str, cfg: ExperimentConfig, train, test, timings) -> dict:
-    spec_x = KernelSpec(RBF, cfg.gamma)
+def _ridge_dual(factor, b: np.ndarray, lam: float) -> np.ndarray:
+    """(Kx + lam I)^-1 b for the centered Gram Kx = U diag(values) U^T of
+    factor: U (values + lam)^-1 U^T b on its range, plus (b - U U^T b) / lam
+    on the eigenvalues that positive_eig counts as zero."""
+    U = factor.vectors
+    c = U.T @ b
+    return U @ (c / (factor.values + lam)) + (b - U @ c) / lam
+
+
+def _fit_and_score(alg: str, cfg: ExperimentConfig, spec_x, train, test, factor,
+                   timings) -> dict:
     spec_y = resolve_spec_y(cfg, train.y)
     t0 = time.perf_counter()
     if alg == "baseline":
-        Kx, row_means = centered_gram(spec_x, train.X)
+        f = factor()
         ym = float(train.y.mean())
-        alpha = np.linalg.solve(Kx + cfg.lam * np.eye(len(train)), train.y - ym)
+        alpha = _ridge_dual(f, train.y - ym, cfg.lam)
         timings[alg]["fit"] += time.perf_counter() - t0
         t0 = time.perf_counter()
-        Kz = center_cross_from_means(cross_gram(spec_x, train.X, test.X), row_means)
+        Kz = center_cross_from_means(cross_gram(spec_x, train.X, test.X), f.row_means)
         scores = Kz.T @ alpha + ym
     else:
-        model = FITTERS[alg](train, spec_x, spec_y, cfg)
+        model = FITTERS[alg](train, spec_x, spec_y, cfg, factor)
         predictor = krr_fit(dcm.transform(model, train.X), train.y, cfg.lam)
         timings[alg]["fit"] += time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -269,12 +296,24 @@ def _fit_and_score(alg: str, cfg: ExperimentConfig, train, test, timings) -> dic
     return out
 
 
+def _tagged(exc: Exception, where: str) -> Exception:
+    """exc's type with where prefixed to its message, or a CovminError when
+    that type cannot be built from one message."""
+    msg = f"{where}: {exc}"
+    try:
+        return type(exc)(msg)
+    except TypeError:
+        return CovminError(msg)
+
+
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Run R seeded repetitions of generate / split / fit / score.
 
     Every algorithm inside one repetition sees the same dataset and the
-    same domain split, so rows are paired by seed. Fit errors are
-    re-raised with the failing repetition attached.
+    same domain split, so rows are paired by seed, and the dense fits and
+    the baseline share one factorization of the split's input Gram. Fit
+    errors are re-raised with the failing repetition attached and the
+    original error as their cause.
     """
     for alg in cfg.algorithms:
         if alg not in ALGORITHMS:
@@ -282,6 +321,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     seeds = [cfg.seed + r for r in range(cfg.reps)]
     per_rep = {alg: {} for alg in cfg.algorithms}
     timings = {alg: {"fit": 0.0, "predict": 0.0} for alg in cfg.algorithms}
+    spec_x = KernelSpec(RBF, cfg.gamma)
     for r, seed in enumerate(seeds):
         data = synth_generate(SynthConfig(
             T=cfg.T, n=cfg.n, eta=cfg.eta, mean_count=cfg.mean_count, seed=seed,
@@ -289,13 +329,12 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         domains = np.unique(data.d)
         order = _split_stream(seed).permutation(domains)
         train, test = split_domains(data, order[: cfg.train_domains])
+        factor = functools.cache(functools.partial(dcm.kernel_factor, spec_x, train.X))
         for alg in cfg.algorithms:
             try:
-                scores = _fit_and_score(alg, cfg, train, test, timings)
+                scores = _fit_and_score(alg, cfg, spec_x, train, test, factor, timings)
             except Exception as exc:
-                raise type(exc)(
-                    f"repetition {r} (seed {seed}), algorithm {alg}: {exc}"
-                ) from exc
+                raise _tagged(exc, f"repetition {r} (seed {seed}), algorithm {alg}") from exc
             for name, value in scores.items():
                 per_rep[alg].setdefault(name, []).append(value)
     metrics = {

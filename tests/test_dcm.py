@@ -20,6 +20,7 @@ from covmin import (
     fit_fastcoir,
     fit_fastdcm,
     fit_kpca,
+    kernel_factor,
     load_model,
     save_model,
     synth_generate,
@@ -268,6 +269,35 @@ def test_transform_sees_edits_made_before_its_first_call(small_data, rbf):
 def test_fits_require_an_rbf_input_kernel(fit, small_data):
     with pytest.raises(InvalidInput, match="must be rbf"):
         fit(small_data, KernelSpec("delta"))
+
+
+DENSE_FITS = {
+    "dcm": lambda data, spec, **kw: fit_dcm(data, spec, 1e-3, 3, **kw),
+    "coir": lambda data, spec, **kw: fit_coir(data, spec, 1e-3, 3, **kw),
+    "kpca": lambda data, spec, **kw: fit_kpca(data, spec, 3, **kw),
+}
+
+
+@pytest.mark.parametrize("alg", DENSE_FITS)
+def test_shared_factor_leaves_the_model_file_unchanged(alg, tmp_path, small_data, rbf):
+    fit = DENSE_FITS[alg]
+    own, shared = tmp_path / "own.bin", tmp_path / "shared.bin"
+    save_model(fit(small_data, rbf), str(own))
+    save_model(fit(small_data, rbf, factor=kernel_factor(rbf, small_data.X)), str(shared))
+    assert own.read_bytes() == shared.read_bytes()
+
+
+@pytest.mark.parametrize("alg", DENSE_FITS)
+def test_factor_of_other_rows_or_kernel_is_rejected(alg, small_data, rbf):
+    fit = DENSE_FITS[alg]
+    X = small_data.X
+    moved = X.copy()
+    moved[0] += 1.0
+    perm = np.random.default_rng(0).permutation(len(X))
+    for factor in (kernel_factor(rbf, X[1:]), kernel_factor(rbf, moved),
+                   kernel_factor(rbf, X[perm]), kernel_factor(KernelSpec("rbf", 0.25), X)):
+        with pytest.raises(InvalidInput, match="factor was built from other rows"):
+            fit(small_data, rbf, factor=factor)
 
 
 def test_transform_validation(small_data, rbf):

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import independent_per_rep
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import covmin
 from covmin import (
+    CovminError,
     ExperimentConfig,
     InvalidInput,
     RankDeficientWarning,
@@ -163,10 +167,37 @@ def test_run_experiment_validates_algorithms():
         run_experiment(_tiny_config(algorithms=("svm",)))
 
 
-def test_run_experiment_tags_failing_repetition():
+def test_run_experiment_tags_failing_repetition(monkeypatch):
     cfg = _tiny_config(algorithms=("fastdcm",), M=10_000)
-    with pytest.raises(InvalidInput, match=r"repetition 0 \(seed 7\)"):
+    with pytest.raises(InvalidInput, match=r"repetition 0 \(seed 7\)") as info:
         run_experiment(cfg)
+    assert isinstance(info.value.__cause__, InvalidInput)
+
+    # a constructor that takes more than a message: tagged as a CovminError
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((3, 0)))
+
+    monkeypatch.setattr(covmin.dcm, "fit_kpca", no_convergence)
+    with pytest.raises(CovminError,
+                       match=r"repetition 0 \(seed 7\), algorithm kpca: .*no convergence") as info:
+        run_experiment(_tiny_config())
+    assert isinstance(info.value.__cause__, ArpackNoConvergence)
+
+
+def test_run_experiment_factors_each_split_once(monkeypatch):
+    cfg = _tiny_config(algorithms=("dcm", "coir", "kpca", "baseline", "fastdcm"))
+    calls = []
+    real = covmin.dcm.positive_eig
+
+    def counted(S):
+        calls.append(S.shape)
+        return real(S)
+
+    monkeypatch.setattr(covmin.dcm, "positive_eig", counted)
+    report = run_experiment(cfg)
+    monkeypatch.undo()
+    assert len(calls) == cfg.reps == 2
+    assert report.per_rep == independent_per_rep(cfg)
 
 
 def test_run_experiment_continuous_labels():

@@ -1,6 +1,7 @@
 """Property tests of the dense fit against the N x N oracle pencil, of the
-landmark sketch against its blocks as the formulas read, and of the
-blocked transform against the unfused formula.
+landmark sketch against its blocks as the formulas read, of the blocked
+transform against the unfused formula, and of the baseline's ridge solve
+in the input factor against the dense N x N solve.
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
@@ -29,8 +30,10 @@ from covmin import (
     fit_coir,
     fit_dcm,
     fit_fastdcm,
+    kernel_factor,
     transform,
 )
+from covmin.evaluate import _ridge_dual
 from covmin.kernels import _BLOCK, center_gram, gram
 
 RBF = KernelSpec("rbf", 0.5)
@@ -188,3 +191,28 @@ def test_blocked_transform_equals_the_unfused_formula(served):
     got = transform(model, Z)
     assert got.shape == (model.m, len(Z))
     npt.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max(initial=0.0)))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(8, 60), st.booleans(),
+       st.sampled_from([0.05, 0.5, 5.0]), st.sampled_from([1e-3, 0.1, 10.0]))
+def test_factor_form_ridge_equals_the_dense_solve(seed, N, duplicated, gamma, lam):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, 3))
+    if duplicated:  # a rank-deficient Gram: many eigenvalues dropped
+        X[N // 2:] = X[: N - N // 2]
+    y = np.where(rng.standard_normal(N) >= 0, 1.0, -1.0)
+    b = y - y.mean()
+    spec = KernelSpec("rbf", gamma)
+    factor = kernel_factor(spec, X)
+    exact = np.linalg.solve(center_gram(gram(spec, X)) + lam * np.eye(N), b)
+    # Dropped eigenvalues are at most tau = 1e-12 max(largest, 1), and each
+    # dropped direction's share of alpha is off by at most tau / lam. Both
+    # solves are backward stable, so each adds a relative error of at most
+    # about 3 N u kappa, kappa = (largest + lam) / lam. |alpha| <= |b| / lam.
+    largest = factor.values[0]
+    tau = 1e-12 * max(largest, 1.0)
+    kappa = (largest + lam) / lam
+    rounding = 2 * 3 * N * np.finfo(float).eps * kappa
+    bound = (tau / lam + rounding) * np.linalg.norm(b) / lam
+    assert np.linalg.norm(_ridge_dual(factor, b, lam) - exact) <= bound
