@@ -83,9 +83,13 @@ class NystromSketch:
 
 
 def sample_landmarks(N: int, M: int, seed: int) -> np.ndarray:
-    """M distinct indices drawn uniformly without replacement."""
+    """M distinct indices drawn uniformly without replacement; seed is an
+    integer in [0, 2**64)."""
     if not 1 <= M <= N:
         raise InvalidInput(f"M must be in [1, {N}], got {M}")
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= int(seed) < 2**64):
+        raise InvalidInput(f"seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     return rng.permutation(N)[:M]
 

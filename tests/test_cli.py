@@ -121,6 +121,17 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
+def test_fit_rejects_a_negative_landmark_seed(tmp_path, capsys):
+    path = _synth(tmp_path)
+    rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
+               "--algorithm", "fastdcm", "--gamma", "0.5", "--seed", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidInput" in err and "seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_fit_missing_input_file(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "m.bin"), "--gamma", "0.5"])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +10,7 @@ from conftest import (
     solved_pencil,
     unfused_transform,
 )
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from covmin import (
     DataSet,
@@ -21,6 +24,7 @@ from covmin import (
     fit_fastdcm,
     fit_kpca,
     kernel_factor,
+    linalg,
     load_model,
     save_model,
     synth_generate,
@@ -45,21 +49,23 @@ def _random_problem(rng, N):
 
 
 def test_operator_pair_transcription_oracle():
-    """L and R + N eps I are the N x N pencil seen through v = U lam^-1/2 w:
+    """L = Yy^T Yy + lam^2 and R + N eps I = Yd^T Yd + lam^2 + N eps I are
+    the N x N pencil seen through v = U lam^-1/2 w:
     lam^1/2 U^T (P, Q) U lam^-1/2."""
     rng = np.random.default_rng(0)
     for N, eps in ((3, 0.1), (7, 1e-3), (12, 1e-2)):
         Kx, basis, Fy, Fd = _random_problem(rng, N)
         U, lam = basis.vectors, basis.values
-        L, R = build_operator_pair(U, lam, Fy, Fd, eps)
+        Yy, Yd = build_operator_pair(U, lam, Fy, Fd, eps)
+        assert Yy.shape == (Fy.shape[1], len(lam)) and Yd.shape == (Fd.shape[1], len(lam))
+        L = Yy.T @ Yy + np.diag(lam ** 2)
+        R = Yd.T @ Yd + np.diag(lam ** 2)
         P, Q = solved_pencil(Kx, Fy @ Fy.T, Fd @ Fd.T, eps)
         L_ref = np.sqrt(lam)[:, None] * (U.T @ P @ U) / np.sqrt(lam)[None, :]
         R_ref = np.sqrt(lam)[:, None] * (U.T @ Q @ U) / np.sqrt(lam)[None, :]
         scale = np.abs(L_ref).max() + np.abs(R_ref).max()
         npt.assert_allclose(L, L_ref, atol=1e-12 * scale)
         npt.assert_allclose(R + N * eps * np.eye(len(lam)), R_ref, atol=1e-12 * scale)
-        npt.assert_array_equal(L, L.T)
-        npt.assert_array_equal(R, R.T)
 
 
 def test_operator_pair_degenerations():
@@ -68,12 +74,12 @@ def test_operator_pair_degenerations():
     U, lam = basis.vectors, basis.values
     zero = np.zeros((5, 1))
 
-    L, R = build_operator_pair(U, lam, zero, zero, 0.1)
-    npt.assert_array_equal(L, np.diag(lam ** 2))
-    npt.assert_array_equal(R, np.diag(lam ** 2))
+    Yy, Yd = build_operator_pair(U, lam, zero, zero, 0.1)
+    npt.assert_array_equal(Yy, np.zeros((1, len(lam))))
+    npt.assert_array_equal(Yd, np.zeros((1, len(lam))))
 
-    _, R = build_operator_pair(U, lam, Fy, None, 0.1)
-    npt.assert_array_equal(R, np.diag(lam ** 2))
+    _, Yd = build_operator_pair(U, lam, Fy, None, 0.1)
+    assert Yd is None
 
 
 def test_operator_pair_validation():
@@ -298,6 +304,40 @@ def test_factor_of_other_rows_or_kernel_is_rejected(alg, small_data, rbf):
                    kernel_factor(rbf, X[perm]), kernel_factor(KernelSpec("rbf", 0.25), X)):
         with pytest.raises(InvalidInput, match="factor was built from other rows"):
             fit(small_data, rbf, factor=factor)
+
+
+def _lanczos_sized_data(rbf):
+    """320 rows: the reduced pencil is too large for the dense solve."""
+    data = random_dataset(np.random.default_rng(5), 320, n=10, domains=5)
+    assert len(kernel_factor(rbf, data.X).values) > linalg._DENSE_MAX_ORDER
+    return data
+
+
+def test_lanczos_fits_repeat_byte_for_byte(tmp_path, rbf):
+    data = _lanczos_sized_data(rbf)
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_model(fit_dcm(data, rbf, 1e-3, 5), str(first))
+    save_model(fit_dcm(data, rbf, 1e-3, 5), str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("fit", [fit_dcm, fit_coir])
+def test_arpack_failure_falls_back_to_the_dense_solve(fit, monkeypatch, caplog, rbf):
+    data = _lanczos_sized_data(rbf)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_DENSE_MAX_ORDER", len(data))
+        dense = fit(data, rbf, 1e-3, 5)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0),
+                                  np.zeros((len(data), 0)))
+
+    monkeypatch.setattr(linalg, "eigsh", no_convergence)
+    with caplog.at_level(logging.WARNING, logger="covmin.linalg"):
+        fallback = fit(data, rbf, 1e-3, 5)
+    assert "Lanczos failed" in caplog.text and "No convergence" in caplog.text
+    npt.assert_array_equal(fallback.coefficients, dense.coefficients)
+    npt.assert_array_equal(fallback.eigenvalues, dense.eigenvalues)
 
 
 def test_transform_validation(small_data, rbf):

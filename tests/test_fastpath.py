@@ -36,6 +36,16 @@ def test_sample_landmarks_contract():
         sample_landmarks(10, 0, 1)
     with pytest.raises(InvalidInput):
         sample_landmarks(10, 11, 1)
+    npt.assert_array_equal(sample_landmarks(50, 7, np.uint64(2**64 - 1)),
+                           sample_landmarks(50, 7, 2**64 - 1))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, np.float64(1.0), True, "1"])
+def test_sample_landmarks_rejects_seeds_outside_uint64(seed, rbf, small_data):
+    with pytest.raises(InvalidInput, match="seed"):
+        sample_landmarks(10, 3, seed)
+    with pytest.raises(InvalidInput, match="seed"):
+        fit_fastdcm(small_data, rbf, 1e-3, 2, 5, seed)
 
 
 def _assert_blocks_match(sk, oracle):

@@ -4,9 +4,9 @@ import pytest
 import scipy.linalg as sla
 from conftest import principal_angles
 
-from covmin import InvalidInput, SingularMatrix
+from covmin import InvalidInput, SingularMatrix, linalg
 from covmin.errors import RankDeficient
-from covmin.linalg import gen_eig, positive_eig, ridge_inverse, sym_eig
+from covmin.linalg import gen_eig, lowrank_gen_eig, positive_eig, ridge_inverse, sym_eig
 
 
 def test_sym_eig_identity_and_diag():
@@ -102,6 +102,35 @@ def test_gen_eig_errors():
     nan = np.full((2, 2), np.nan)
     with pytest.raises(SingularMatrix):
         gen_eig(nan, np.eye(2), 1)
+
+
+def _lowrank_pencil(rng, r):
+    return rng.random(r), rng.standard_normal((2, r)), rng.standard_normal((3, r))
+
+
+def test_lowrank_gen_eig_small_or_nearly_full_is_the_assembled_gen_eig():
+    rng = np.random.default_rng(5)
+    for r, m in ((6, 2), (300, 299)):
+        d, Ya, Yb = _lowrank_pencil(rng, r)
+        got = lowrank_gen_eig(d, Ya, Yb, m, 0.1)
+        ref = gen_eig(Ya.T @ Ya + np.diag(d), Yb.T @ Yb + np.diag(d), m, ridge=0.1)
+        npt.assert_array_equal(got.values, ref.values)
+        npt.assert_array_equal(got.vectors, ref.vectors)
+
+
+def test_lowrank_gen_eig_errors(monkeypatch):
+    d, Ya, Yb = _lowrank_pencil(np.random.default_rng(6), 5)
+    with pytest.raises(InvalidInput, match="columns"):
+        lowrank_gen_eig(d, Ya[:, :4], Yb, 1, 0.1)
+    with pytest.raises(InvalidInput, match="columns"):
+        lowrank_gen_eig(d, Ya, Yb[:, :4], 1, 0.1)
+    with pytest.raises(InvalidInput, match="m must be"):
+        lowrank_gen_eig(d, Ya, None, 6, 0.1)
+    monkeypatch.setattr(linalg, "_DENSE_MAX_ORDER", 0)
+    with pytest.raises(SingularMatrix, match="non-finite"):
+        lowrank_gen_eig(d, Ya, np.full_like(Yb, np.nan), 1, 0.1)
+    with pytest.raises(SingularMatrix, match="positive definite"):
+        lowrank_gen_eig(d, Ya, Yb, 1, -d.max())
 
 
 def test_positive_eig_keeps_numerical_range():

@@ -1,7 +1,8 @@
 """Property tests of the dense fit against the N x N oracle pencil, of the
-landmark sketch against its blocks as the formulas read, of the blocked
-transform against the unfused formula, and of the baseline's ridge solve
-in the input factor against the dense N x N solve.
+Lanczos solve of the reduced pencil against LAPACK on the assembled pencil,
+of the landmark sketch against its blocks as the formulas read, of the
+blocked transform against the unfused formula, and of the baseline's ridge
+solve in the input factor against the dense N x N solve.
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
@@ -9,6 +10,8 @@ fitted eigenpairs against solved_pencil, which assembles the pencil with
 explicit solves and never calls the package's solver. With every point a
 landmark, the fast fit must span the dense fit's subspace.
 """
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import scipy.linalg as sla
@@ -31,8 +34,10 @@ from covmin import (
     fit_dcm,
     fit_fastdcm,
     kernel_factor,
+    linalg,
     transform,
 )
+from covmin.dcm import _centered_factor, build_operator_pair
 from covmin.evaluate import _ridge_dual
 from covmin.kernels import _BLOCK, center_gram, gram
 
@@ -125,6 +130,37 @@ def test_full_sampling_fast_fit_spans_the_dense_subspace(problem):
     angles = principal_angles(dense.coefficients, fast.coefficients,
                               center_gram(gram(RBF, data.X)))
     assert np.max(angles) <= 1e-4
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(41, 401), st.booleans(), st.booleans(),
+       st.sampled_from([1e-3, 1e-1]), st.integers(1, 6))
+def test_lanczos_solve_matches_lapack_on_the_assembled_pencil(seed, N, continuous, coir,
+                                                              epsilon, m):
+    """The reduced pencil of a dcm or coir fit (r = 40-400) with a delta or
+    an RBF output factor, solved by Lanczos on its factors and by gen_eig
+    on the assembled L and R."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, 10))
+    if continuous:
+        Fy = _centered_factor(KernelSpec("rbf", 1.0), X[:, 0] + 0.3 * rng.standard_normal(N))
+    else:
+        Fy = _centered_factor(KernelSpec("delta"), rng.integers(0, 3, size=N))
+    Fd = None if coir else _centered_factor(KernelSpec("delta"), rng.integers(1, 8, size=N))
+    factor = kernel_factor(RBF, X)
+    lam2 = factor.values ** 2
+    Yy, Yd = build_operator_pair(factor.vectors, factor.values, Fy, Fd, epsilon)
+    ridge = N * epsilon
+    with mock.patch.object(linalg, "_DENSE_MAX_ORDER", 0):
+        got = linalg.lowrank_gen_eig(lam2, Yy, Yd, m, ridge)
+    A = Yy.T @ Yy + np.diag(lam2)
+    B = (np.diag(lam2) if Yd is None else Yd.T @ Yd + np.diag(lam2)) + ridge * np.eye(len(lam2))
+    ref = linalg.gen_eig(A, B, m, ridge=0.0)
+    npt.assert_allclose(got.values, ref.values, rtol=1e-10)
+    nA, nB = np.linalg.norm(A, "fro"), np.linalg.norm(B, "fro")
+    for mu, w in zip(got.values, got.vectors.T):
+        assert np.linalg.norm(A @ w - mu * (B @ w)) <= 1e-12 * (nA + abs(mu) * nB)
+    npt.assert_allclose(np.linalg.norm(got.vectors, axis=0), 1.0, rtol=1e-14)
 
 
 @st.composite
