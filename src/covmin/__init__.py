@@ -15,7 +15,6 @@ from .dcm import (
     transform,
 )
 from .errors import (
-    ComplexSpectrum,
     CovminError,
     InvalidInput,
     RankDeficient,
@@ -49,7 +48,7 @@ from .linalg import EigPairs, gen_eig, ridge_inverse, sym_eig
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovminError", "InvalidInput", "ComplexSpectrum", "SingularMatrix",
+    "CovminError", "InvalidInput", "SingularMatrix",
     "RankDeficient", "RankDeficientWarning", "UndefinedMetric", "SchemaError",
     "KernelSpec", "gram", "cross_gram", "center_gram", "median_gamma",
     "EigPairs", "sym_eig", "gen_eig", "ridge_inverse",

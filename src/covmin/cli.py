@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("fit", "transform") and not args.output:
         parser.error("--output is required")
+    if args.command == "eval" and args.input and not args.model:
+        parser.error("--input needs --model: eval without --model runs the "
+                     "synthetic protocol and reads no file")
     if args.algorithm in ("fastdcm", "fastcoir") and args.m > args.M:
         parser.error(f"m={args.m} must not exceed M={args.M}")
     try:

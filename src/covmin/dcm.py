@@ -12,7 +12,9 @@ diagonal plus a low-rank term, rank c (output factor columns) on the left
 and T (domains) on the right; build_operator_pair returns the low-rank
 factors and linalg.lowrank_gen_eig finds the top m pairs from them.
 That eigenbasis is a KernelFactor (kernel_factor); fits on the same rows
-can share one through their factor= keyword.
+can share one through their factor= keyword. The landmark path runs the
+same reduction and solve (_fit_factor) on the eigenbasis of its sketched
+input Gram (fastpath.LandmarkFactor).
 
 Degenerations: zeroing the domain Gram gives inverse-regression behavior
 (coir); dropping supervision entirely reduces to kernel PCA (kpca).
@@ -113,8 +115,7 @@ def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     return pairs.vectors * np.sqrt(pairs.values)[None, :]
 
 
-def build_operator_pair(U: np.ndarray, lam: np.ndarray, Fy: np.ndarray,
-                        Fd: np.ndarray | None, epsilon: float):
+def build_operator_pair(factor, Fy: np.ndarray, Fd: np.ndarray | None, epsilon: float):
     """Factors (Yy, Yd) of the reduced r x r pencil L w = mu (R + N eps I) w
     of the fit, with L = Yy^T Yy + lam^2 and R = Yd^T Yd + lam^2.
 
@@ -123,8 +124,11 @@ def build_operator_pair(U: np.ndarray, lam: np.ndarray, Fy: np.ndarray,
 
       (Kx P_y Kx^2 + Kx^2) v = mu (Kx P_d Kx^2 + Kx^2 + N eps I) v.
 
-    Its nonzero eigenvalues live on v = U diag(lam)^-1/2 w, where
-    Kx = U diag(lam) U^T over the r positive eigenvalues. There
+    factor is the input factor Kx = U diag(lam) U^T, U an orthonormal
+    N x r basis: a KernelFactor (dense, U explicit) or a
+    fastpath.LandmarkFactor (the sketched Gram, U = Cx omega implicit).
+    Only its values lam, its N row_means and factor.project(F) = U^T F
+    are used. The nonzero eigenvalues live on v = U diag(lam)^-1/2 w, and
 
       L = lam^3/2 Q_y lam^3/2 + lam^2,   R = lam^3/2 Q_d lam^3/2 + lam^2,
 
@@ -138,18 +142,18 @@ def build_operator_pair(U: np.ndarray, lam: np.ndarray, Fy: np.ndarray,
     """
     if epsilon <= 0:
         raise InvalidInput("epsilon must be positive")
-    N = U.shape[0]
+    N = len(factor.row_means)
     for name, F in (("output", Fy), ("domain", Fd)):
         if F is not None and F.shape[0] != N:
             raise InvalidInput(f"{name} factor has {F.shape[0]} rows, expected {N}")
     Ne = N * epsilon
-    lam32 = lam ** 1.5
+    lam32 = factor.values ** 1.5
 
-    def factor(F):
+    def reduce(F):
         C = np.linalg.cholesky(F.T @ F + Ne * np.eye(F.shape[1]))
-        return sla.solve_triangular(C, (U.T @ F).T * lam32[None, :], lower=True)
+        return sla.solve_triangular(C, factor.project(F).T * lam32[None, :], lower=True)
 
-    return factor(Fy), None if Fd is None else factor(Fd)
+    return reduce(Fy), None if Fd is None else reduce(Fd)
 
 
 def _canonical_signs(coef: np.ndarray) -> np.ndarray:
@@ -176,6 +180,14 @@ class KernelFactor:
     vectors: np.ndarray
     values: np.ndarray
     row_means: np.ndarray
+
+    def project(self, F: np.ndarray) -> np.ndarray:
+        """U^T F, U = vectors."""
+        return self.vectors.T @ F
+
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
+        """v = U diag(values)^-1/2 w, which has v^T (H K H) v = w^T w."""
+        return self.vectors @ (w / np.sqrt(self.values)[:, None])
 
 
 def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
@@ -209,7 +221,7 @@ def _input_factor(data: DataSet, spec_x, m: int, factor: KernelFactor | None):
     return factor
 
 
-def _model(algorithm, coef, eigenvalues, X, factor) -> ProjectionModel:
+def _model(algorithm, coef, eigenvalues, X, factor, landmarks=None) -> ProjectionModel:
     return ProjectionModel(
         algorithm=algorithm,
         coefficients=_canonical_signs(coef),
@@ -217,20 +229,27 @@ def _model(algorithm, coef, eigenvalues, X, factor) -> ProjectionModel:
         train_X=X.copy(),
         spec_x=factor.spec,
         row_means=factor.row_means.copy(),
+        landmarks=landmarks,
     )
+
+
+def _fit_factor(algorithm, X, factor, Fy, Fd, epsilon, m, landmarks=None) -> ProjectionModel:
+    """The fit tail shared by the dense and landmark paths: the top m
+    pairs of the reduced pencil of factor (build_operator_pair), each
+    direction scaled to unit norm under the factor's centered Gram."""
+    Yy, Yd = build_operator_pair(factor, Fy, Fd, epsilon)
+    pairs = lowrank_gen_eig(factor.values * factor.values, Yy, Yd, m,
+                            ridge=len(X) * epsilon)
+    return _model(algorithm, factor.coefficients(pairs.vectors), pairs.values, X, factor,
+                  landmarks)
 
 
 def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
                    zero_domain: bool, factor) -> ProjectionModel:
     factor = _input_factor(data, spec_x, m, factor)
-    N = data.X.shape[0]
     Fy = _centered_factor(spec_y or KernelSpec(DELTA), data.y)
     Fd = None if zero_domain else _centered_factor(spec_d or KernelSpec(DELTA), data.d)
-    Yy, Yd = build_operator_pair(factor.vectors, factor.values, Fy, Fd, epsilon)
-    pairs = lowrank_gen_eig(factor.values * factor.values, Yy, Yd, m, ridge=N * epsilon)
-    # v = U lam^-1/2 w has v^T Kx v = w^T w = 1
-    coef = factor.vectors @ (pairs.vectors / np.sqrt(factor.values)[:, None])
-    return _model(algorithm, coef, pairs.values, data.X, factor)
+    return _fit_factor(algorithm, data.X, factor, Fy, Fd, epsilon, m)
 
 
 def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,

@@ -9,14 +9,6 @@ class InvalidInput(CovminError):
     """Arguments violate a documented precondition."""
 
 
-class ComplexSpectrum(CovminError):
-    """A retained eigenvalue has a non-negligible imaginary part.
-
-    Signals an ill-conditioned operator pair rather than a bug; callers
-    should increase the ridge or reduce the retained dimension.
-    """
-
-
 class SingularMatrix(CovminError):
     """A linear solve failed even after regularization."""
 

@@ -1,25 +1,20 @@
 """Landmark-sketched fitting path with O(M^2 N) cost and no N x N matrices.
 
 All three kernels are approximated through M uniformly sampled landmark
-columns (K ~= C W^-1 C^T). The fitting eigenproblem then reduces to an
-M x M problem through a reduction matrix Omega; eigenvectors of the full
-problem are recovered as C_x V Theta. When every training point is a
-landmark the reduction is exact and the dense path is recovered.
+columns C: the centered kernel is H C (W + jI)^-1 C^T H, with W = C[idx]
+the landmark block and j a small jitter (Nystrom, Williams & Seeger 2001).
+The fit is the dense fit's own pencil on these kernels, solved by the same
+code (dcm.build_operator_pair, linalg.lowrank_gen_eig): compute_omega
+turns the input sketch into an implicit orthonormal eigenbasis
+U = Cx omega of the approximated input Gram, and the output and domain
+kernels enter as factors F with F F^T the approximated kernel. The
+spectrum is real by construction. When every training point is a
+landmark the approximation is exact and the dense solution is recovered.
 
-Only the input side is held as an N x M block. The output and domain
-sides enter the M x M blocks through a factor pair H C = F P^T (Nystrom
-factor algebra, Williams & Seeger 2001): a delta kernel's landmark
-columns are an N x c one-hot matrix (c levels among the landmark values)
-times an M x c selector, so they never become N x M. A fit costs one
-N M^2 product (Sxx) plus O(N M (c + T)) for the delta label and domain
-sides, and its memory is one N x M block.
-
-The Omega evaluation here is an algebraically identical regrouping of the
-direct formula: each product of the form Wt (S Wt + a I)^-1 is collapsed
-to (S + a Wj)^-1, where Wj is the jittered landmark block. This avoids
-multiplying by the explicit inverse of nearly singular landmark blocks
-(delta kernels with duplicate landmark labels produce exactly those) and
-agrees with the direct evaluation to rounding on well-conditioned blocks.
+Only the input side is held as an N x M block. A delta kernel's factor is
+an N x c one-hot matrix (c levels among the landmark values), so it never
+becomes N x M. A fit costs one N M^2 product (Sxx) plus O(N M (c + T))
+for the delta label and domain sides, and its memory is one N x M block.
 """
 from __future__ import annotations
 
@@ -29,15 +24,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .datagen import DataSet
-from .dcm import ProjectionModel, _canonical_signs, _check_input_kernel, _one_hot
-from .errors import ComplexSpectrum, InvalidInput, RankDeficient
+from .dcm import ProjectionModel, _check_input_kernel, _fit_factor, _one_hot
+from .errors import InvalidInput, RankDeficient
 from .kernels import DELTA, KernelSpec, cross_gram
 from .linalg import ridge_inverse, sym_eig
 
 _JITTER_SCALE = 1e-10
 _RANK_TOL = 1e-10
-#: imaginary parts above this (relative) threshold are an error, below it noise
-IMAG_TOL = 1e-6
 
 
 @dataclass
@@ -45,41 +38,47 @@ class NystromSketch:
     """Landmark sketch of the three kernels.
 
     Cx is the column-centered input block H C_x (N x M), with H the
-    centering matrix. The output and domain sides are used only through
-    a factor pair (F, P) with H C = F P^T and are not kept: for a delta
-    kernel F is the centered N x c one-hot matrix over the c levels among
-    the landmark values and P its M x c landmark rows; for an RBF kernel
-    F = H C and P = I. W blocks are the raw landmark kernels (W = P P^T
-    for a delta kernel), Wt_x is the jitter-regularized inverse of Wx,
-    and S blocks are cross products of the centered sides, e.g.
-    Sxy = (Cx^T F_y) P_y^T and Syy = P_y (F_y^T F_y) P_y^T.
-    approx_row_means carries the row means of the raw approximated input
-    kernel, used to center test columns at projection time.
+    centering matrix, Wx = C_x[idx] its raw landmark block, Wt_x the
+    jitter-regularized inverse of Wx and Sxx = Cx^T Cx. The centered
+    approximated input Gram is Cx Wt_x Cx^T. Fy and Fd factor the
+    centered approximated output and domain Grams,
+    F F^T = H C (W + jI)^-1 C^T H (see _side_factor). approx_row_means
+    carries the row means of the raw approximated input kernel, used to
+    center test columns at projection time.
     """
 
     landmark_indices: np.ndarray
     Cx: np.ndarray
     Wx: np.ndarray
-    Wy: np.ndarray
-    Wd: np.ndarray
     Wt_x: np.ndarray
     jitter_x: float
-    jitter_y: float
-    jitter_d: float
     Sxx: np.ndarray
-    Sxy: np.ndarray
-    Sxd: np.ndarray
-    Syy: np.ndarray
-    Sdd: np.ndarray
+    Fy: np.ndarray
+    Fd: np.ndarray
     approx_row_means: np.ndarray
 
-    @property
-    def Syx(self):
-        return self.Sxy.T
 
-    @property
-    def Sdx(self):
-        return self.Sxd.T
+@dataclass
+class LandmarkFactor:
+    """Eigenbasis of a sketch's centered approximated input Gram,
+    Cx Wt_x Cx^T = U diag(values) U^T with U = Cx omega orthonormal and
+    never formed (compute_omega). It serves dcm.build_operator_pair and
+    the fit tail like a dense dcm.KernelFactor.
+    """
+
+    spec: KernelSpec
+    Cx: np.ndarray
+    omega: np.ndarray
+    values: np.ndarray
+    row_means: np.ndarray
+
+    def project(self, F: np.ndarray) -> np.ndarray:
+        """U^T F = omega^T (Cx^T F)."""
+        return self.omega.T @ (self.Cx.T @ F)
+
+    def coefficients(self, w: np.ndarray) -> np.ndarray:
+        """v = U diag(values)^-1/2 w, which has v^T (Cx Wt_x Cx^T) v = w^T w."""
+        return self.Cx @ (self.omega @ (w / np.sqrt(self.values)[:, None]))
 
 
 def sample_landmarks(N: int, M: int, seed: int) -> np.ndarray:
@@ -110,36 +109,39 @@ def _landmark_indices(landmarks, N: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def _side_factor(spec: KernelSpec, values, idx: np.ndarray):
-    """(F, P, W) for C = cross_gram(spec, values, values[idx]): the
-    factor pair with H C = F P^T and the raw landmark block W = C[idx].
+def _side_factor(spec: KernelSpec, values, idx: np.ndarray) -> np.ndarray:
+    """F with F F^T = H C (W + jI)^-1 C^T H, the jittered Nystrom kernel of
+    C = cross_gram(spec, values, values[idx]), W = C[idx], j = _jitter(W).
 
-    Delta: F is the centered one-hot matrix over the levels among the
-    landmark values, P = its landmark rows and W = P P^T, which is C[idx]
-    exactly. RBF: F = H C, P = I.
+    Delta: C = G P^T for the one-hot matrix G over the levels among the
+    landmark values and P = G[idx], so W = P P^T and, with n_l landmarks
+    at level l, P^T (W + jI)^-1 P = diag(n_l / (n_l + j)): F is the
+    centered G with column l scaled by sqrt(n_l / (n_l + j)). RBF:
+    F = (H C) L^-T for the Cholesky factor L L^T = W + jI.
     """
     values = np.asarray(values)
     if spec.kind == DELTA:
         G = _one_hot(values, np.unique(values[idx]))
         P = G[idx]
-        return G - G.mean(axis=0), P, P @ P.T
+        n = P.sum(axis=0)
+        return (G - G.mean(axis=0)) * np.sqrt(n / (n + _jitter(P @ P.T)))
     C = cross_gram(spec, values, values[idx])
-    W = C[idx].copy()
+    W = C[idx]
+    L = np.linalg.cholesky(W + _jitter(W) * np.eye(len(idx)))
     C -= C.mean(axis=0)
-    return C, np.eye(len(idx)), W
+    return sla.solve_triangular(L, C.T, lower=True).T
 
 
 def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks,
                  spec_y: KernelSpec | None = None,
                  spec_d: KernelSpec | None = None) -> NystromSketch:
-    """Assemble the input block, regularized blocks, and cross products.
+    """Assemble the input block, its regularized inverse and Gram, and the
+    output and domain factors.
 
     Centering subtracts each C column's mean, which centers the
     approximated kernel exactly: H (C W^-1 C^T) H = (HC) W^-1 (HC)^T.
     landmarks must be distinct integer indices in [0, N).
     """
-    spec_y = spec_y or KernelSpec(DELTA)
-    spec_d = spec_d or KernelSpec(DELTA)
     N = len(data)
     idx = _landmark_indices(landmarks, N)
     Cx = cross_gram(spec_x, data.X, data.X[idx])
@@ -150,75 +152,34 @@ def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks,
     ones_proj = Cx.T @ np.full(N, 1.0 / N)
     approx_row_means = Cx @ (Wt_x @ ones_proj)
     Cx -= Cx.mean(axis=0)
-    Fy, Py, Wy = _side_factor(spec_y, data.y, idx)
-    Fd, Pd, Wd = _side_factor(spec_d, data.d, idx)
     return NystromSketch(
         landmark_indices=idx,
-        Cx=Cx,
-        Wx=Wx, Wy=Wy, Wd=Wd,
-        Wt_x=Wt_x,
-        jitter_x=jx, jitter_y=_jitter(Wy), jitter_d=_jitter(Wd),
-        Sxx=Cx.T @ Cx,
-        Sxy=(Cx.T @ Fy) @ Py.T, Sxd=(Cx.T @ Fd) @ Pd.T,
-        Syy=Py @ (Fy.T @ Fy) @ Py.T, Sdd=Pd @ (Fd.T @ Fd) @ Pd.T,
+        Cx=Cx, Wx=Wx, Wt_x=Wt_x, jitter_x=jx, Sxx=Cx.T @ Cx,
+        Fy=_side_factor(spec_y or KernelSpec(DELTA), data.y, idx),
+        Fd=_side_factor(spec_d or KernelSpec(DELTA), data.d, idx),
         approx_row_means=approx_row_means,
     )
 
 
-def compute_omega(sk: NystromSketch, N: int, epsilon: float,
-                  zero_domain: bool = False) -> np.ndarray:
-    """M x M reduction matrix of the sketched eigenproblem.
+def compute_omega(sk: NystromSketch, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, omega): the eigendecomposition
+    Cx Wt_x Cx^T = U diag(values) U^T of the sketch's centered
+    approximated input Gram, values descending, with U = Cx omega
+    orthonormal (N x r) and omega M x r.
 
-    Direct form (left factor inverted against the right factor), with
-    Vx, Vy, Vd the inverses of the jittered landmark blocks W + jitter I:
-
-      lhs = Vx Sxd Vd (Sdd Vd + N eps I)^-1 Sdx Vx Sxx Vx Sxx
-            + Vx Sxx Vx Sxx + N eps I
-      rhs = Vx Sxy Vy (Syy Vy + N eps I)^-1 Syx Vx Sxx Vx
-            + Vx Sxx Vx
-
-    evaluated here with every V (S V + a I)^-1 collapsed to
-    (S + a Wj)^-1 and the leading Vx (the sketch's Wt_x) factored out of
-    the inversion.
-    zero_domain drops the Sxd term (the single-domain degeneration).
+    With Sxx = V diag(s) V^T over the s above _RANK_TOL * max(s), U0 =
+    Cx V s^-1/2 is orthonormal and Cx = U0 s^1/2 V^T, so the Gram is
+    U0 G U0^T with G = s^1/2 V^T Wt_x V s^1/2 = Wg diag(values) Wg^T,
+    and omega = V s^-1/2 Wg. A rank r below m raises RankDeficient.
     """
-    if epsilon <= 0:
-        raise InvalidInput("epsilon must be positive")
-    M = sk.Sxx.shape[0]
-    Ne = N * epsilon
-    Wxj = sk.Wx + sk.jitter_x * np.eye(M)
-    Wyj = sk.Wy + sk.jitter_y * np.eye(M)
-    E = np.linalg.solve(Wxj, sk.Sxx)
-    lhs = sk.Sxx @ E + Ne * Wxj
-    if not zero_domain:
-        Wdj = sk.Wd + sk.jitter_d * np.eye(M)
-        Dmid = np.linalg.solve(sk.Sdd + Ne * Wdj, sk.Sdx)
-        lhs = sk.Sxd @ Dmid @ E @ E + lhs
-    Ymid = np.linalg.solve(sk.Syy + Ne * Wyj, sk.Syx)
-    rhs = (sk.Sxy @ Ymid @ E + sk.Sxx) @ sk.Wt_x
-    omega = np.linalg.solve(lhs, rhs)
-    if not np.all(np.isfinite(omega)):
-        raise InvalidInput("omega evaluation produced non-finite entries")
-    return omega
-
-
-def _fast_eig_raw(sk: NystromSketch, omega: np.ndarray, m: int):
-    """Eigenvector recovery in landmark space: the m leading eigenvalues
-    (complex, by descending real part) and the M x m matrix B = V Theta
-    of their directions, so that the coefficients are C_x B. Columns
-    beyond the numerical rank of the sketch are dropped; an effective
-    rank below m raises RankDeficient."""
     pairs = sym_eig(sk.Sxx)
-    lam2 = pairs.values
-    keep = lam2 > _RANK_TOL * max(lam2[0], 0.0)
+    keep = pairs.values > _RANK_TOL * max(pairs.values[0], 0.0)
     if keep.sum() < m:
         raise RankDeficient(f"effective rank {int(keep.sum())} is below the requested {m}")
-    Vr = pairs.vectors[:, keep]
-    lam2 = lam2[keep]
-    G = (Vr.T @ omega @ Vr) * lam2[None, :]
-    w, Theta = sla.eig(G)
-    order = np.argsort(-w.real, kind="stable")[:m]
-    return w[order], Vr @ Theta[:, order].real
+    root = np.sqrt(pairs.values[keep])
+    B = pairs.vectors[:, keep] * root
+    G = sym_eig(B.T @ sk.Wt_x @ B)
+    return G.values, (pairs.vectors[:, keep] / root) @ G.vectors
 
 
 def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
@@ -231,30 +192,10 @@ def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
         raise InvalidInput(f"M={M} exceeds the sample count {N}")
     idx = sample_landmarks(N, M, seed)
     sk = build_sketch(data, spec_x, idx, spec_y=spec_y, spec_d=spec_d)
-    omega = compute_omega(sk, N, epsilon, zero_domain=zero_domain)
-    w, B = _fast_eig_raw(sk, omega, m)
-    bad = np.abs(w.imag) > IMAG_TOL * (1.0 + np.abs(w.real))
-    if np.any(bad):
-        raise ComplexSpectrum(
-            "retained eigenvalue has a non-negligible imaginary part; "
-            "increase M or epsilon"
-        )
-    # unit norm under the centered approximated Gram, t^T Wt_x t with
-    # t = Cx^T Cx b = Sxx b, evaluated for all m columns in one solve
-    T = sk.Sxx @ B
-    s = np.abs(np.einsum("ij,ij->j", T, np.linalg.solve(sk.Wx + sk.jitter_x * np.eye(M), T)))
-    if np.any(s < 1e-300):
-        raise RankDeficient("projection direction has zero norm under the sketch")
-    coefs = _canonical_signs(sk.Cx @ (B / np.sqrt(s)))
-    return ProjectionModel(
-        algorithm=algorithm,
-        coefficients=coefs,
-        eigenvalues=w.real,
-        train_X=data.X.copy(),
-        spec_x=spec_x,
-        row_means=sk.approx_row_means,
-        landmarks=idx,
-    )
+    values, omega = compute_omega(sk, m)
+    factor = LandmarkFactor(spec_x, sk.Cx, omega, values, sk.approx_row_means)
+    return _fit_factor(algorithm, data.X, factor, sk.Fy, None if zero_domain else sk.Fd,
+                       epsilon, m, landmarks=idx)
 
 
 def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -263,10 +204,15 @@ def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
                 spec_d: KernelSpec | None = None) -> ProjectionModel:
     """Landmark-approximated fit; requires m <= M <= N.
 
-    Cost: one N x M input kernel block and one N M^2 product, plus
-    O(N M (c + T)) for delta output and domain kernels, which enter as
-    N x c and N x T one-hot factors (an RBF output kernel adds its own
-    N x M block and N M^2 product). Memory is one N x M block.
+    The dense fit's pencil on the landmark-approximated kernels, solved by
+    the dense fit's reduction and eigensolver (see the module docstring);
+    each direction has unit norm under the approximated input Gram.
+
+    Cost: one N x M input kernel block, one N M^2 product and two M x M
+    symmetric eigendecompositions, plus O(N M (c + T)) for delta output
+    and domain kernels, which enter as N x c and N x T one-hot factors
+    (an RBF output kernel adds its own N x M block and N M^2 product).
+    Memory is one N x M block.
 
     The returned model projects new data exactly like the dense fit: the
     full training-to-test cross kernel is applied to the coefficients,
@@ -280,7 +226,7 @@ def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
 def fit_fastcoir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
                  M: int, seed: int,
                  spec_y: KernelSpec | None = None) -> ProjectionModel:
-    """Landmark-approximated single-domain degeneration (domain blocks
-    zeroed inside the reduction)."""
+    """Landmark-approximated single-domain degeneration (the domain term
+    of the pencil dropped, as in dcm.fit_coir)."""
     return _fit_fast(data, spec_x, spec_y, None, epsilon, m, M, seed,
                      "fastcoir", zero_domain=True)

@@ -84,21 +84,26 @@ def unfused_transform(model, Z) -> np.ndarray:
 
 
 def sketch_blocks(data, idx, spec_x, spec_y=None, spec_d=None) -> dict:
-    """The sketch's W and S blocks as the formulas read, from the N x M
-    landmark columns C = cross_gram(spec, values, values[idx]) of each
-    side: W = C[idx], and S_ab = (H C_a)^T (H C_b) with an explicit
-    centering matrix H. spec_y and spec_d default to delta."""
+    """The sketch as the formulas read, from the N x M landmark columns
+    C = cross_gram(spec, values, values[idx]) of each side: the input's
+    landmark block Wx = C_x[idx] and Sxx = (H C_x)^T (H C_x), and for
+    every side k the centered jittered Nystrom kernel
+    K_k = H C (W + jI)^-1 C^T H with W = C[idx], j = 1e-10 trace(W) / M,
+    an explicit centering matrix H and an explicit inverse. spec_y and
+    spec_d default to delta."""
     idx = np.asarray(idx)
-    N = len(data)
+    N, M = len(data), len(idx)
     H = np.eye(N) - np.full((N, N), 1.0 / N)
     sides = {"x": (spec_x, data.X),
              "y": (spec_y or KernelSpec(DELTA), data.y),
              "d": (spec_d or KernelSpec(DELTA), data.d)}
-    C = {k: cross_gram(spec, v, v[idx]) for k, (spec, v) in sides.items()}
-    HC = {k: H @ c for k, c in C.items()}
-    blocks = {f"W{k}": c[idx] for k, c in C.items()}
-    for a, b in ("xx", "xy", "xd", "yy", "dd"):
-        blocks[f"S{a}{b}"] = HC[a].T @ HC[b]
+    blocks = {}
+    for k, (spec, values) in sides.items():
+        C = cross_gram(spec, values, values[idx])
+        W = C[idx]
+        blocks[f"K{k}"] = H @ C @ np.linalg.solve(W + 1e-10 * np.trace(W) / M * np.eye(M), C.T) @ H
+        if k == "x":
+            blocks["Wx"], blocks["Sxx"] = W, (H @ C).T @ (H @ C)
     return blocks
 
 

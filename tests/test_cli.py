@@ -168,6 +168,17 @@ def test_eval_writes_reports(tmp_path, capsys):
     assert "accuracy" in capsys.readouterr().out
 
 
+def test_eval_input_without_model_is_a_usage_error(tmp_path, capsys):
+    # eval without --model runs the synthetic protocol; a file it would not
+    # read must not pass silently
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--input", str(tmp_path / "absent.csv"), "--gamma", "0.5",
+              "--reps", "1", "--compare", "dcm", "--output", str(tmp_path / "rep")])
+    assert exc.value.code == 2
+    assert "synthetic protocol" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_eval_scores_fitted_model(tmp_path):
     path = _synth(tmp_path)
     model_path = str(tmp_path / "m.bin")

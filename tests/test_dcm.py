@@ -15,6 +15,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from covmin import (
     DataSet,
     InvalidInput,
+    KernelFactor,
     KernelSpec,
     SynthConfig,
     build_operator_pair,
@@ -37,15 +38,18 @@ from covmin.linalg import positive_eig
 
 
 def _random_problem(rng, N):
-    """Centered Kx with its positive eigenbasis, plus rank-2 centered
-    output and domain factors (Ky = Fy Fy^T, Kd = Fd Fd^T)."""
+    """Centered Kx with its positive eigenbasis as a KernelFactor, plus
+    rank-2 centered output and domain factors (Ky = Fy Fy^T, Kd = Fd Fd^T)."""
     def centered(k):
         A = rng.standard_normal((N, k))
         return A - A.mean(axis=0)
 
     Fx = centered(N)
     Kx = center_gram(Fx @ Fx.T)
-    return Kx, positive_eig(Kx), centered(2), centered(2)
+    basis = positive_eig(Kx)
+    factor = KernelFactor(spec=None, X=None, vectors=basis.vectors, values=basis.values,
+                          row_means=np.zeros(N))
+    return Kx, factor, centered(2), centered(2)
 
 
 def test_operator_pair_transcription_oracle():
@@ -54,9 +58,9 @@ def test_operator_pair_transcription_oracle():
     lam^1/2 U^T (P, Q) U lam^-1/2."""
     rng = np.random.default_rng(0)
     for N, eps in ((3, 0.1), (7, 1e-3), (12, 1e-2)):
-        Kx, basis, Fy, Fd = _random_problem(rng, N)
-        U, lam = basis.vectors, basis.values
-        Yy, Yd = build_operator_pair(U, lam, Fy, Fd, eps)
+        Kx, factor, Fy, Fd = _random_problem(rng, N)
+        U, lam = factor.vectors, factor.values
+        Yy, Yd = build_operator_pair(factor, Fy, Fd, eps)
         assert Yy.shape == (Fy.shape[1], len(lam)) and Yd.shape == (Fd.shape[1], len(lam))
         L = Yy.T @ Yy + np.diag(lam ** 2)
         R = Yd.T @ Yd + np.diag(lam ** 2)
@@ -70,26 +74,24 @@ def test_operator_pair_transcription_oracle():
 
 def test_operator_pair_degenerations():
     rng = np.random.default_rng(1)
-    _, basis, Fy, _ = _random_problem(rng, 5)
-    U, lam = basis.vectors, basis.values
+    _, factor, Fy, _ = _random_problem(rng, 5)
     zero = np.zeros((5, 1))
 
-    Yy, Yd = build_operator_pair(U, lam, zero, zero, 0.1)
-    npt.assert_array_equal(Yy, np.zeros((1, len(lam))))
-    npt.assert_array_equal(Yd, np.zeros((1, len(lam))))
+    Yy, Yd = build_operator_pair(factor, zero, zero, 0.1)
+    npt.assert_array_equal(Yy, np.zeros((1, len(factor.values))))
+    npt.assert_array_equal(Yd, np.zeros((1, len(factor.values))))
 
-    _, Yd = build_operator_pair(U, lam, Fy, None, 0.1)
+    _, Yd = build_operator_pair(factor, Fy, None, 0.1)
     assert Yd is None
 
 
 def test_operator_pair_validation():
     rng = np.random.default_rng(2)
-    _, basis, Fy, Fd = _random_problem(rng, 4)
-    U, lam = basis.vectors, basis.values
+    _, factor, Fy, Fd = _random_problem(rng, 4)
     with pytest.raises(InvalidInput, match="epsilon"):
-        build_operator_pair(U, lam, Fy, Fd, 0.0)
+        build_operator_pair(factor, Fy, Fd, 0.0)
     with pytest.raises(InvalidInput, match="domain factor"):
-        build_operator_pair(U, lam, Fy, Fd[:3], 0.1)
+        build_operator_pair(factor, Fy, Fd[:3], 0.1)
 
 
 @pytest.mark.parametrize("spec, values", [

@@ -1,10 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from conftest import principal_angles, sketch_blocks
+from conftest import principal_angles, sketch_blocks, solved_pencil
 
 from covmin import (
-    ComplexSpectrum,
     DataSet,
     InvalidInput,
     KernelSpec,
@@ -15,14 +14,15 @@ from covmin import (
     fit_dcm,
     fit_fastcoir,
     fit_fastdcm,
+    median_gamma,
     sample_landmarks,
+    split_domains,
     synth_generate,
     transform,
 )
 from covmin.errors import RankDeficient
-from covmin.fastpath import _fast_eig_raw
+from covmin.evaluate import _split_stream
 from covmin.kernels import center_gram, gram
-from covmin.linalg import ridge_inverse
 
 
 def test_sample_landmarks_contract():
@@ -48,12 +48,14 @@ def test_sample_landmarks_rejects_seeds_outside_uint64(seed, rbf, small_data):
         fit_fastdcm(small_data, rbf, 1e-3, 2, 5, seed)
 
 
-def _assert_blocks_match(sk, oracle):
-    for name in ("Wx", "Wy", "Wd"):
-        npt.assert_array_equal(getattr(sk, name), oracle[name], err_msg=name)
-    for name in ("Sxx", "Sxy", "Sxd", "Syy", "Sdd"):
-        npt.assert_allclose(getattr(sk, name), oracle[name], rtol=0, atol=1e-12,
-                            err_msg=name)
+def _assert_blocks_match(sk, oracle, atol=1e-12):
+    """Input blocks against the oracle's, and F F^T of the output and
+    domain factors against its jittered Nystrom kernels; atol bounds the
+    kernels' rounding, which grows with the landmark blocks' condition."""
+    npt.assert_array_equal(sk.Wx, oracle["Wx"])
+    npt.assert_allclose(sk.Sxx, oracle["Sxx"], rtol=0, atol=1e-12)
+    for name, F in (("Ky", sk.Fy), ("Kd", sk.Fd)):
+        npt.assert_allclose(F @ F.T, oracle[name], rtol=0, atol=atol, err_msg=name)
 
 
 def test_build_sketch_small_blocks(rbf, small_data):
@@ -63,14 +65,14 @@ def test_build_sketch_small_blocks(rbf, small_data):
     # default delta label and domain kernels, against H cross_gram blocks
     _assert_blocks_match(sk, sketch_blocks(small_data, idx, rbf))
     npt.assert_allclose(sk.Sxx, sk.Cx.T @ sk.Cx, atol=1e-12)
-    npt.assert_array_equal(sk.Syx, sk.Sxy.T)
-    npt.assert_array_equal(sk.Sdx, sk.Sxd.T)
     # column centering is exact
     npt.assert_allclose(sk.Cx.sum(axis=0), np.zeros(8), atol=1e-9)
-    # RBF output and domain kernels
+    # RBF output and domain kernels; their landmark blocks have condition
+    # numbers up to 4e4, so the kernels agree to about 1e-12
     for seed in range(3):
         sk, data, idx = _well_conditioned_sketch(seed)
-        _assert_blocks_match(sk, sketch_blocks(data, idx, *_WELL_CONDITIONED_SPECS))
+        _assert_blocks_match(sk, sketch_blocks(data, idx, *_WELL_CONDITIONED_SPECS),
+                             atol=1e-11)
     for bad in ([1, 1, 2], [0, N], [N - 1, -1], [0, -1], [0.5, 1.7], [], [[0, 1]]):
         with pytest.raises(InvalidInput):
             build_sketch(small_data, rbf, bad)
@@ -122,95 +124,92 @@ def _well_conditioned_sketch(seed, N=40, M=3):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compute_omega_transcription_oracle(seed):
-    """Direct evaluation of the reduction formula, explicit inverses."""
-    sk, data, _ = _well_conditioned_sketch(seed)
-    N = len(data)
-    eps = 1e-2
-    Ne = N * eps
-    M = sk.Sxx.shape[0]
-    I = np.eye(M)
-    Wt_x = sk.Wt_x
-    Wt_y = ridge_inverse(sk.Wy, sk.jitter_y)
-    Wt_d = ridge_inverse(sk.Wd, sk.jitter_d)
-    lhs = (
-        Wt_x @ sk.Sxd @ Wt_d @ np.linalg.inv(sk.Sdd @ Wt_d + Ne * I)
-        @ sk.Sdx @ Wt_x @ sk.Sxx @ Wt_x @ sk.Sxx
-        + Wt_x @ sk.Sxx @ Wt_x @ sk.Sxx
-        + Ne * I
+    """U = Cx omega is orthonormal and U diag(values) U^T is the centered
+    approximated input Gram Cx Wt_x Cx^T, values descending."""
+    sk, _, _ = _well_conditioned_sketch(seed)
+    values, omega = compute_omega(sk, 3)
+    U = sk.Cx @ omega
+    npt.assert_allclose(U.T @ U, np.eye(len(values)), atol=1e-12)
+    approx = sk.Cx @ sk.Wt_x @ sk.Cx.T
+    npt.assert_allclose((U * values) @ U.T, approx, atol=1e-12 * np.abs(approx).max())
+    assert np.all(np.diff(values) <= 0) and values[-1] > 0
+
+
+def _hand_sketch(Cx):
+    """A sketch with unit landmark blocks around a given input block."""
+    N, M = Cx.shape
+    return NystromSketch(
+        landmark_indices=np.arange(M), Cx=Cx, Wx=np.eye(M), Wt_x=np.eye(M),
+        jitter_x=0.0, Sxx=Cx.T @ Cx, Fy=np.zeros((N, 1)), Fd=np.zeros((N, 1)),
+        approx_row_means=np.zeros(N),
     )
-    rhs = (
-        Wt_x @ sk.Sxy @ Wt_y @ np.linalg.inv(sk.Syy @ Wt_y + Ne * I)
-        @ sk.Syx @ Wt_x @ sk.Sxx @ Wt_x
-        + Wt_x @ sk.Sxx @ Wt_x
-    )
-    direct = np.linalg.solve(lhs, rhs)
-    omega = compute_omega(sk, N, eps)
-    npt.assert_allclose(omega, direct, rtol=1e-6, atol=1e-10)
 
 
 def test_compute_omega_zero_blocks():
-    M = 3
-    zero = np.zeros((M, M))
-    sk = NystromSketch(
-        landmark_indices=np.arange(M),
-        Cx=np.zeros((6, M)),
-        Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M),
-        jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
-        Sxx=zero, Sxy=zero, Sxd=zero, Syy=zero, Sdd=zero,
-        approx_row_means=np.zeros(6),
-    )
-    npt.assert_allclose(compute_omega(sk, 6, 0.5), zero, atol=1e-14)
-    with pytest.raises(InvalidInput):
-        compute_omega(sk, 6, 0.0)
+    with pytest.raises(RankDeficient):
+        compute_omega(_hand_sketch(np.zeros((6, 3))), 1)
 
 
 def test_omega_zero_domain_equals_constant_domain(rbf):
+    """A constant domain kernel contributes nothing to the landmark pencil:
+    the domain term dropped (fastcoir) gives the fastdcm fit."""
     data = synth_generate(SynthConfig(T=1, mean_count=50, seed=9))
-    idx = sample_landmarks(len(data), 10, 0)
-    sk = build_sketch(data, rbf, idx)
-    full = compute_omega(sk, len(data), 1e-3, zero_domain=False)
-    dropped = compute_omega(sk, len(data), 1e-3, zero_domain=True)
-    npt.assert_allclose(full, dropped, atol=1e-12)
+    full = fit_fastdcm(data, rbf, 1e-3, 3, 10, 0)
+    dropped = fit_fastcoir(data, rbf, 1e-3, 3, 10, 0)
+    npt.assert_allclose(full.eigenvalues, dropped.eigenvalues, rtol=1e-12)
+    npt.assert_allclose(full.coefficients, dropped.coefficients,
+                        atol=1e-10 * np.abs(full.coefficients).max())
 
 
 def test_fast_eig_identity_case():
     M, N = 4, 9
-    rng = np.random.default_rng(5)
-    sk = NystromSketch(
-        landmark_indices=np.arange(M),
-        Cx=rng.standard_normal((N, M)),
-        Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M),
-        jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
-        Sxx=np.eye(M), Sxy=np.zeros((M, M)), Sxd=np.zeros((M, M)),
-        Syy=np.eye(M), Sdd=np.eye(M),
-        approx_row_means=np.zeros(N),
-    )
-    vals, B = _fast_eig_raw(sk, np.eye(M), M)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((N, M)))
+    sk = _hand_sketch(Q)
+    vals, omega = compute_omega(sk, M)
     npt.assert_allclose(vals, np.ones(M), atol=1e-12)
-    assert (sk.Cx @ B).shape == (N, M)
+    U = sk.Cx @ omega
+    assert U.shape == (N, M)
+    npt.assert_allclose(U.T @ U, np.eye(M), atol=1e-12)
 
 
 def test_fast_eig_rank_one_sketch():
-    M, N = 3, 7
-    u = np.arange(1.0, N + 1.0)[:, None]
-    v = np.array([[1.0, -1.0, 2.0]])
-    Cx = u @ v
-    sk = NystromSketch(
-        landmark_indices=np.arange(M),
-        Cx=Cx,
-        Wx=np.eye(M), Wy=np.eye(M), Wd=np.eye(M),
-        Wt_x=np.eye(M),
-        jitter_x=0.0, jitter_y=0.0, jitter_d=0.0,
-        Sxx=Cx.T @ Cx, Sxy=np.zeros((M, M)), Sxd=np.zeros((M, M)),
-        Syy=np.eye(M), Sdd=np.eye(M),
-        approx_row_means=np.zeros(N),
-    )
-    vals, B = _fast_eig_raw(sk, np.eye(M), 1)
-    assert (sk.Cx @ B).shape[1] == 1
+    u = np.arange(1.0, 8.0)[:, None]
+    sk = _hand_sketch(u @ np.array([[1.0, -1.0, 2.0]]))
+    vals, omega = compute_omega(sk, 1)
+    assert omega.shape == (3, 1)
+    # Cx Cx^T = u v v^T u^T: one direction u / |u|, value |u|^2 |v|^2
+    npt.assert_allclose(np.abs(sk.Cx @ omega)[:, 0], u[:, 0] / np.linalg.norm(u))
+    npt.assert_allclose(vals, [140.0 * 6.0])
     with pytest.raises(RankDeficient):
-        _fast_eig_raw(sk, np.eye(M), 2)
+        compute_omega(sk, 2)
+
+
+@pytest.mark.parametrize("fit", [fit_fastdcm, fit_fastcoir])
+@pytest.mark.parametrize("continuous", [True, False])
+def test_fast_eigenpairs_solve_the_approximated_pencil(fit, continuous):
+    """The fast fit is the dense fit's pencil on the landmark-approximated
+    kernels: its eigenpairs solve that pencil, assembled from the kernels
+    as the formulas read (sketch_blocks) by solved_pencil, to a scaled
+    residual of 1e-9. A criterion-4 split (N=675), M=50; the continuous
+    output has an RBF output kernel, whose landmark block is nearly
+    singular."""
+    data = synth_generate(SynthConfig(seed=101))
+    train, _ = split_domains(data, _split_stream(101).permutation(np.unique(data.d))[:7])
+    N = len(train)
+    spec_y = None
+    if continuous:
+        y = train.X[:, 0] + 0.1 * np.arange(N) / N
+        spec_y = KernelSpec("rbf", median_gamma(y))
+        train = DataSet(X=train.X, y=y, d=train.d)
+    rbf = KernelSpec("rbf", 0.5)
+    model = fit(train, rbf, 1e-3, 5, 50, 0, spec_y=spec_y)
+    K = sketch_blocks(train, model.landmarks, rbf, spec_y)
+    Kd = K["Kd"] if fit is fit_fastdcm else np.zeros((N, N))
+    P, Q = solved_pencil(K["Kx"], K["Ky"], Kd, 1e-3)
+    nP, nQ = np.linalg.norm(P, "fro"), np.linalg.norm(Q, "fro")
+    for mu, v in zip(model.eigenvalues, model.coefficients.T):
+        resid = np.linalg.norm(P @ v - mu * (Q @ v))
+        assert resid <= 1e-9 * (nP + abs(mu) * nQ) * np.linalg.norm(v)
 
 
 def test_full_sampling_matches_dense(rbf):

@@ -129,7 +129,8 @@ def test_full_sampling_fast_fit_spans_the_dense_subspace(problem):
     fast = fit_fastdcm(data, RBF, epsilon, M, len(data), 0, spec_y=spec_y)
     angles = principal_angles(dense.coefficients, fast.coefficients,
                               center_gram(gram(RBF, data.X)))
-    assert np.max(angles) <= 1e-4
+    # the worst of the 40 examples is 5.2e-8, at the arccos resolution
+    assert np.max(angles) <= 1e-6
 
 
 @SETTINGS
@@ -149,7 +150,7 @@ def test_lanczos_solve_matches_lapack_on_the_assembled_pencil(seed, N, continuou
     Fd = None if coir else _centered_factor(KernelSpec("delta"), rng.integers(1, 8, size=N))
     factor = kernel_factor(RBF, X)
     lam2 = factor.values ** 2
-    Yy, Yd = build_operator_pair(factor.vectors, factor.values, Fy, Fd, epsilon)
+    Yy, Yd = build_operator_pair(factor, Fy, Fd, epsilon)
     ridge = N * epsilon
     with mock.patch.object(linalg, "_DENSE_MAX_ORDER", 0):
         got = linalg.lowrank_gen_eig(lam2, Yy, Yd, m, ridge)
@@ -184,14 +185,15 @@ def sketch_problems(draw):
 @SETTINGS
 @given(sketch_problems())
 def test_sketch_blocks_equal_the_landmark_column_blocks(problem):
+    """The input blocks, and F F^T of the delta output and domain factors
+    against the jittered Nystrom kernels of their landmark columns."""
     data, idx = problem
     sk = build_sketch(data, RBF, idx)
     oracle = sketch_blocks(data, idx, RBF)
-    for name in ("Wx", "Wy", "Wd"):
-        npt.assert_array_equal(getattr(sk, name), oracle[name], err_msg=name)
-    for name in ("Sxx", "Sxy", "Sxd", "Syy", "Sdd"):
-        npt.assert_allclose(getattr(sk, name), oracle[name], rtol=0, atol=1e-12,
-                            err_msg=name)
+    npt.assert_array_equal(sk.Wx, oracle["Wx"])
+    npt.assert_allclose(sk.Sxx, oracle["Sxx"], rtol=0, atol=1e-12)
+    for name, F in (("Ky", sk.Fy), ("Kd", sk.Fd)):
+        npt.assert_allclose(F @ F.T, oracle[name], rtol=0, atol=1e-12, err_msg=name)
 
 
 @st.composite
