@@ -129,7 +129,7 @@ def test_full_sampling_fast_fit_spans_the_dense_subspace(problem):
     fast = fit_fastdcm(data, RBF, epsilon, M, len(data), 0, spec_y=spec_y)
     angles = principal_angles(dense.coefficients, fast.coefficients,
                               center_gram(gram(RBF, data.X)))
-    # the worst of the 40 examples is 5.2e-8, at the arccos resolution
+    # the worst of the 40 examples is 3.0e-8, at the arccos resolution
     assert np.max(angles) <= 1e-6
 
 
