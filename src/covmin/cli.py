@@ -48,6 +48,10 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(item) for item in text.split(",")]
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="input CSV path")
     p.add_argument("--output", help="output path (or prefix for eval)")
@@ -133,12 +137,11 @@ def cmd_transform(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    algorithms = tuple(a.strip() for a in args.compare.split(",") if a.strip())
     if args.model:
-        report = _eval_with_model(args, algorithms)
+        report = _eval_with_model(args)
     else:
         cfg = ExperimentConfig(
-            algorithms=algorithms, reps=args.reps, seed=args.seed,
+            algorithms=args.compare, reps=args.reps, seed=args.seed,
             eta=args.eta, gamma=args.gamma if args.gamma is not None else 0.5,
             gamma_y=args.gamma_y, label_kind=args.label_kind,
             epsilon=args.epsilon, m=args.m, M=args.M, lam=args.lam,
@@ -155,7 +158,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _eval_with_model(args, algorithms):
+def _eval_with_model(args):
     from .evaluate import EvalReport, metric_accuracy, metric_rmse
 
     model = dcm.load_model(args.model)
@@ -188,7 +191,6 @@ def _eval_with_model(args, algorithms):
 
 
 def cmd_bench(args) -> int:
-    algorithms = tuple(a.strip() for a in args.compare.split(",") if a.strip())
     gamma = args.gamma if args.gamma is not None else 0.5
     spec_x = KernelSpec(RBF, gamma)
     rows = []
@@ -198,7 +200,7 @@ def cmd_bench(args) -> int:
         ))
         N = len(data)
         spec_y = resolve_spec_y(args, data.y)
-        for alg in algorithms:
+        for alg in args.compare:
             if alg not in FITTERS:
                 raise CovminError(f"bench does not support algorithm {alg!r}")
             t0 = time.perf_counter()
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--lam", type=_positive_float, default=0.1)
-    p.add_argument("--compare", default="dcm,coir,baseline")
+    p.add_argument("--compare", type=_names, default="dcm,coir,baseline")
     p.add_argument("--model", help="score a fitted model instead of end-to-end")
     p.add_argument("--train-domains", help="comma list of training domains (with --model)")
     p.set_defaults(func=cmd_eval)
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--sizes", type=_positive_ints, default="1000,2000,4000")
-    p.add_argument("--compare", default="fastdcm")
+    p.add_argument("--compare", type=_names, default="fastdcm")
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -264,7 +266,8 @@ def main(argv=None) -> int:
     if args.command == "eval" and args.input and not args.model:
         parser.error("--input needs --model: eval without --model runs the "
                      "synthetic protocol and reads no file")
-    if args.algorithm in ("fastdcm", "fastcoir") and args.m > args.M:
+    named = args.compare if args.command in ("eval", "bench") else (args.algorithm,)
+    if args.m > args.M and {"fastdcm", "fastcoir"} & set(named):
         parser.error(f"m={args.m} must not exceed M={args.M}")
     try:
         return args.func(args)

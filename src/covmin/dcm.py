@@ -36,8 +36,10 @@ from .kernels import (
     DELTA,
     RBF,
     KernelSpec,
+    _as_points,
     center_gram,
     centered_gram,
+    cross_gram,
     gram,
     rbf_cross_product,
 )
@@ -91,16 +93,6 @@ def _check_input_kernel(spec_x) -> None:
         raise InvalidInput(f"the input kernel must be rbf, got {spec_x!r}")
 
 
-def _one_hot(values, levels) -> np.ndarray:
-    """N x c indicator G[i, l] = 1.0 if values[i] == levels[l], else 0.0.
-
-    This is the delta kernel between values and the c distinct levels, so
-    G G^T is the delta Gram of values when every value is a level. A
-    value that is no level gets a zero row.
-    """
-    return (np.asarray(values)[:, None] == np.asarray(levels)[None, :]).astype(float)
-
-
 def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     """F with F F^T equal to the centered Gram of values under spec.
 
@@ -109,7 +101,7 @@ def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     roots of its positive eigenvalues.
     """
     if spec.kind == DELTA:
-        G = _one_hot(values, np.unique(values))
+        G = cross_gram(spec, values, np.unique(values))
         return G - G.mean(axis=0)
     pairs = positive_eig(center_gram(gram(spec, values)))
     return pairs.vectors * np.sqrt(pairs.values)[None, :]
@@ -171,8 +163,8 @@ class KernelFactor:
     """Eigenbasis of the centered input Gram of the rows X under spec:
     H K H = vectors diag(values) vectors^T over the r eigenvalues above
     1e-12 * max(largest, 1) (linalg.positive_eig), values descending.
-    row_means are the row means of the raw Gram K, which center test
-    columns (kernels.center_cross_from_means).
+    row_means are the row means of the raw Gram K; a fitted model keeps
+    them and transform subtracts their projection beta^T row_means.
     """
 
     spec: KernelSpec
@@ -313,9 +305,7 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
     Cost: O(N N_T d) time. Working memory beyond the m x N_T result is
     O(B), B = kernels._BLOCK entries (2 MB), whatever N_T is.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim == 1:
-        Z = Z[:, None]
+    Z = _as_points(Z)
     if Z.shape[1] != model.train_X.shape[1]:
         raise InvalidInput(
             f"feature dimension mismatch: model has {model.train_X.shape[1]}, "

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .datagen import DataSet
-from .dcm import ProjectionModel, _check_input_kernel, _fit_factor, _one_hot
+from .dcm import ProjectionModel, _check_input_kernel, _fit_factor
 from .errors import InvalidInput, RankDeficient
 from .kernels import DELTA, KernelSpec, cross_gram
 from .linalg import ridge_inverse, sym_eig
@@ -113,15 +113,16 @@ def _side_factor(spec: KernelSpec, values, idx: np.ndarray) -> np.ndarray:
     """F with F F^T = H C (W + jI)^-1 C^T H, the jittered Nystrom kernel of
     C = cross_gram(spec, values, values[idx]), W = C[idx], j = _jitter(W).
 
-    Delta: C = G P^T for the one-hot matrix G over the levels among the
-    landmark values and P = G[idx], so W = P P^T and, with n_l landmarks
-    at level l, P^T (W + jI)^-1 P = diag(n_l / (n_l + j)): F is the
-    centered G with column l scaled by sqrt(n_l / (n_l + j)). RBF:
-    F = (H C) L^-T for the Cholesky factor L L^T = W + jI.
+    Delta: C = G P^T for the one-hot matrix G (the delta kernel between
+    values and the levels among the landmark values) and P = G[idx], so
+    W = P P^T and, with n_l landmarks at level l, P^T (W + jI)^-1 P =
+    diag(n_l / (n_l + j)): F is the centered G with column l scaled by
+    sqrt(n_l / (n_l + j)). RBF: F = (H C) L^-T for the Cholesky factor
+    L L^T = W + jI.
     """
     values = np.asarray(values)
     if spec.kind == DELTA:
-        G = _one_hot(values, np.unique(values[idx]))
+        G = cross_gram(spec, values, np.unique(values[idx]))
         P = G[idx]
         n = P.sum(axis=0)
         return (G - G.mean(axis=0)) * np.sqrt(n / (n + _jitter(P @ P.T)))

@@ -8,6 +8,8 @@ never forms those centered columns: centering is linear, so
 coef^T H (K(X, Z) - mu 1^T) = beta^T K(X, Z) - (beta^T mu) 1^T with
 beta = H coef, and rbf_cross_product evaluates beta^T K(X, Z) block by
 block. The training row means mu still come from the training Gram alone.
+gram, cross_gram and each such block turn X Z^T into K(X, Z) in place
+(_rbf_block); _delta is the one indicator behind every delta kernel.
 """
 from __future__ import annotations
 
@@ -60,16 +62,27 @@ def median_gamma(values) -> float:
     return 1.0 / (2.0 * med * med)
 
 
-def _sq_dists(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    sx = np.einsum("ij,ij->i", X, X)
-    sz = np.einsum("ij,ij->i", Z, Z)
-    D2 = sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T)
-    np.maximum(D2, 0.0, out=D2)
-    return D2
+def _rbf_block(G, gamma: float, x_sq_norms, z_sq_norms) -> np.ndarray:
+    """K(X, Z), computed in G = X Z^T from the rows' squared norms."""
+    G *= -2.0
+    G += x_sq_norms[:, None]
+    G += z_sq_norms
+    np.maximum(G, 0.0, out=G)
+    G *= -gamma
+    np.exp(G, out=G)
+    return G
+
+
+def _delta(a, b) -> np.ndarray:
+    """len(a) x len(b) indicator D[i, j] = 1.0 if a[i] == b[j], else 0.0."""
+    return (np.asarray(a)[:, None] == np.asarray(b)[None, :]).astype(float)
 
 
 def _as_points(items) -> np.ndarray:
-    X = np.asarray(items, dtype=float)
+    try:
+        X = np.asarray(items, dtype=float)
+    except (TypeError, ValueError):  # strings, ragged rows, other objects
+        raise InvalidInput("points must be numeric") from None
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
@@ -83,11 +96,10 @@ def gram(spec: KernelSpec, items) -> np.ndarray:
     RBF and delta Grams both carry a unit diagonal, enforced exactly.
     """
     if spec.kind == DELTA:
-        labels = np.asarray(items)
-        K = (labels[:, None] == labels[None, :]).astype(float)
-        return K
+        return _delta(items, items)
     X = _as_points(items)
-    K = np.exp(-spec.gamma * _sq_dists(X, X))
+    sx = np.einsum("ij,ij->i", X, X)
+    K = _rbf_block(X @ X.T, spec.gamma, sx, sx)
     K = 0.5 * (K + K.T)
     np.fill_diagonal(K, 1.0)
     return K
@@ -96,16 +108,15 @@ def gram(spec: KernelSpec, items) -> np.ndarray:
 def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
     """Cross-Gram matrix K[i, j] = k(X[i], Z[j]), shape N x N_T."""
     if spec.kind == DELTA:
-        a = np.asarray(X)
-        b = np.asarray(Z)
-        return (a[:, None] == b[None, :]).astype(float)
+        return _delta(X, Z)
     Xp = _as_points(X)
     Zp = _as_points(Z)
     if Xp.shape[1] != Zp.shape[1]:
         raise InvalidInput(
             f"feature dimension mismatch: {Xp.shape[1]} vs {Zp.shape[1]}"
         )
-    return np.exp(-spec.gamma * _sq_dists(Xp, Zp))
+    return _rbf_block(Xp @ Zp.T, spec.gamma, np.einsum("ij,ij->i", Xp, Xp),
+                      np.einsum("ij,ij->i", Zp, Zp))
 
 
 def rbf_cross_product(gamma: float, X: np.ndarray, x_sq_norms: np.ndarray,
@@ -122,14 +133,7 @@ def rbf_cross_product(gamma: float, X: np.ndarray, x_sq_norms: np.ndarray,
     step = max(1, _BLOCK // max(n_test, 1))
     for lo in range(0, X.shape[0], step):
         hi = lo + step
-        # exp(-gamma * max(|x|^2 + |z|^2 - 2 x.z, 0)), all in place
-        G = X[lo:hi] @ Z.T
-        G *= -2.0
-        G += x_sq_norms[lo:hi, None]
-        G += sz
-        np.maximum(G, 0.0, out=G)
-        G *= -gamma
-        np.exp(G, out=G)
+        G = _rbf_block(X[lo:hi] @ Z.T, gamma, x_sq_norms[lo:hi], sz)
         out += weights[lo:hi].T @ G
     return out
 

@@ -80,6 +80,17 @@ def test_fit_rejects_m_exceeding_M(tmp_path, capsys):
     assert "must not exceed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--compare", "dcm,fastdcm", "--reps", "1"],
+    ["bench", "--compare", "fastcoir", "--sizes", "100"],
+])
+def test_compare_rejects_m_exceeding_M(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--M", "5", "--m", "6"])
+    assert exc.value.code == 2
+    assert "must not exceed" in capsys.readouterr().err
+
+
 def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     path = _synth(tmp_path)
     rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),

@@ -346,6 +346,10 @@ def test_transform_validation(small_data, rbf):
     model = fit_dcm(small_data, rbf, 1e-3, 2)
     with pytest.raises(InvalidInput):
         transform(model, np.ones((3, small_data.X.shape[1] + 1)))
+    with pytest.raises(InvalidInput, match="ndim=3"):
+        transform(model, np.zeros((3, small_data.X.shape[1], 2)))
+    with pytest.raises(InvalidInput, match="numeric"):
+        transform(model, [["a"] * small_data.X.shape[1]])
     for bad in (np.nan, np.inf):
         Z = small_data.X[:3].copy()
         Z[1, 2] = bad

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -74,6 +76,23 @@ def test_cross_gram_values(rbf):
 
     with pytest.raises(InvalidInput):
         cross_gram(rbf, X, np.ones((2, 3)))
+    with pytest.raises(InvalidInput, match="ndim=3"):
+        cross_gram(rbf, X, np.ones((2, 2, 2)))
+    with pytest.raises(InvalidInput, match="numeric"):
+        cross_gram(rbf, [["a"]], X)
+
+
+def test_cross_gram_allocates_only_its_output(rbf):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20000, 10))
+    Z = rng.standard_normal((100, 10))
+    tracemalloc.start()
+    try:
+        K = cross_gram(rbf, X, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * K.nbytes
 
 
 def test_center_gram_values():
