@@ -15,11 +15,12 @@ from .errors import CovminError, InvalidInput
 from .evaluate import (
     ALGORITHMS,
     FITTERS,
+    EvalReport,
     ExperimentConfig,
     krr_fit,
-    predict_labels,
     resolve_spec_y,
     run_experiment,
+    score_predictions,
 )
 from .kernels import RBF, KernelSpec
 
@@ -52,35 +53,43 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="input CSV path")
-    p.add_argument("--output", help="output path (or prefix for eval)")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="dcm")
-    p.add_argument("--epsilon", type=_positive_float, default=1e-3)
-    p.add_argument("--gamma", type=_positive_float, help="rbf width for the input kernel")
-    p.add_argument("--gamma-y", type=_positive_float, dest="gamma_y",
-                   help="rbf width for continuous outputs (median heuristic if omitted)")
-    p.add_argument("--m", type=_positive_int, default=5, help="projection dimension")
-    p.add_argument("--M", type=_positive_int, default=50,
-                   help="landmark count for fast algorithms")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reps", type=_positive_int, default=20)
-    p.add_argument("--feature-cols", default="auto",
-                   help="comma-separated feature columns, or 'auto'")
-    p.add_argument("--label-col", default="y")
-    p.add_argument("--domain-col", default="d")
-    p.add_argument("--label-kind", choices=("discrete", "continuous"), default="discrete")
+#: every option, declared once; each subcommand adds the ones its handler
+#: reads (build_parser)
+_OPTIONS = {
+    "--input": dict(help="input CSV path"),
+    "--output": dict(help="output path (or prefix for eval)"),
+    "--model": dict(help="fitted model path (eval: score it on --input)"),
+    "--algorithm": dict(choices=ALGORITHMS, default="dcm"),
+    "--epsilon": dict(type=_positive_float, default=1e-3),
+    "--gamma": dict(type=_positive_float, help="rbf width for the input kernel"),
+    "--gamma-y": dict(type=_positive_float,
+                      help="rbf width for continuous outputs (median heuristic if omitted)"),
+    "--m": dict(type=_positive_int, default=5, help="projection dimension"),
+    "--M": dict(type=_positive_int, default=50, help="landmark count for fast algorithms"),
+    "--seed": dict(type=int, default=0),
+    "--reps": dict(type=_positive_int, default=20),
+    "--feature-cols": dict(default="auto",
+                           help="comma-separated feature columns, or 'auto' for every "
+                                "column except the label and domain columns"),
+    "--label-col": dict(default="y"),
+    "--domain-col": dict(default="d"),
+    "--label-kind": dict(choices=("discrete", "continuous"), default="discrete"),
+    "--eta": dict(type=_positive_float, default=0.5),
+    "--domains": dict(type=_positive_int, default=10),
+    "--dim": dict(type=_positive_int, default=10),
+    "--mean-count": dict(type=_positive_int, default=100),
+    "--lam": dict(type=_positive_float, default=0.1),
+    "--sizes": dict(type=_positive_ints, default="1000,2000,4000"),
+    "--compare": dict(type=_names, help="comma list of algorithms"),
+    "--train-domains": dict(help="comma list of training domains (with --model)"),
+}
+
+_CSV_OPTIONS = ("--input", "--feature-cols", "--label-col", "--domain-col", "--label-kind")
+_FIT_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--seed")
 
 
 def _load_input(args) -> DataSet:
-    if not args.input:
-        raise CovminError("--input is required")
-    if args.feature_cols == "auto":
-        with open(args.input) as fh:
-            header = fh.readline().strip().split(",")
-        cols = [c for c in header if c not in (args.label_col, args.domain_col)]
-    else:
-        cols = [c.strip() for c in args.feature_cols.split(",") if c.strip()]
+    cols = None if args.feature_cols == "auto" else _names(args.feature_cols)
     return load_csv(args.input, cols, args.label_col, args.domain_col,
                     label_kind=args.label_kind)
 
@@ -102,18 +111,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _fit_model(args, data: DataSet):
-    if args.gamma is None:
-        raise CovminError("--gamma is required for fitting")
+def cmd_fit(args) -> int:
     if args.algorithm not in FITTERS:
         raise CovminError(f"algorithm {args.algorithm!r} has no fitted model (use eval)")
-    spec_x = KernelSpec(RBF, args.gamma)
-    return FITTERS[args.algorithm](data, spec_x, resolve_spec_y(args, data.y), args)
-
-
-def cmd_fit(args) -> int:
     data = _load_input(args)
-    model = _fit_model(args, data)
+    model = FITTERS[args.algorithm](data, KernelSpec(RBF, args.gamma),
+                                    resolve_spec_y(args, data.y), args)
     dcm.save_model(model, args.output)
     vals = ", ".join(f"{v:.6g}" for v in model.eigenvalues)
     print(f"{model.algorithm}: m={model.m} eigenvalues [{vals}]")
@@ -122,8 +125,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    if not args.model:
-        raise CovminError("--model is required")
     model = dcm.load_model(args.model)
     data = _load_input(args)
     coords = dcm.transform(model, data.X)
@@ -142,29 +143,24 @@ def cmd_eval(args) -> int:
     else:
         cfg = ExperimentConfig(
             algorithms=args.compare, reps=args.reps, seed=args.seed,
-            eta=args.eta, gamma=args.gamma if args.gamma is not None else 0.5,
+            eta=args.eta, gamma=args.gamma,
             gamma_y=args.gamma_y, label_kind=args.label_kind,
             epsilon=args.epsilon, m=args.m, M=args.M, lam=args.lam,
         )
         report = run_experiment(cfg)
-    prefix = args.output or "eval_report"
-    with open(prefix + ".json", "w") as fh:
+    with open(args.output + ".json", "w") as fh:
         fh.write(report.to_json())
-    with open(prefix + ".txt", "w") as fh:
+    with open(args.output + ".txt", "w") as fh:
         fh.write(report.to_text() + "\n")
-    with open(prefix + ".csv", "w") as fh:
+    with open(args.output + ".csv", "w") as fh:
         fh.write(report.per_rep_csv())
     print(report.to_text())
     return 0
 
 
 def _eval_with_model(args):
-    from .evaluate import EvalReport, metric_accuracy, metric_rmse
-
     model = dcm.load_model(args.model)
     data = _load_input(args)
-    if not args.train_domains:
-        raise CovminError("--train-domains is required with --model")
     kind = type(data.d.ravel()[0])
     wanted = []
     for text in args.train_domains.split(","):
@@ -177,10 +173,8 @@ def _eval_with_model(args):
     train, test = split_domains(data, wanted)
     predictor = krr_fit(dcm.transform(model, train.X), train.y, args.lam)
     scores = predictor.predict(dcm.transform(model, test.X))
-    if args.label_kind == "continuous":
-        metrics = {"rmse": (metric_rmse(scores, test.y), 0.0)}
-    else:
-        metrics = {"accuracy": (metric_accuracy(predict_labels(scores), test.y), 0.0)}
+    metrics = {name: (value, 0.0) for name, value
+               in score_predictions(scores, test.y, args.label_kind).items()}
     return EvalReport(
         config={"model": args.model, "input": args.input, "lam": args.lam},
         seeds=[args.seed],
@@ -191,8 +185,7 @@ def _eval_with_model(args):
 
 
 def cmd_bench(args) -> int:
-    gamma = args.gamma if args.gamma is not None else 0.5
-    spec_x = KernelSpec(RBF, gamma)
+    spec_x = KernelSpec(RBF, args.gamma)
     rows = []
     for nominal in args.sizes:
         data = synth_generate(SynthConfig(
@@ -201,8 +194,6 @@ def cmd_bench(args) -> int:
         N = len(data)
         spec_y = resolve_spec_y(args, data.y)
         for alg in args.compare:
-            if alg not in FITTERS:
-                raise CovminError(f"bench does not support algorithm {alg!r}")
             t0 = time.perf_counter()
             FITTERS[alg](data, spec_x, spec_y, args)
             elapsed = time.perf_counter() - t0
@@ -216,59 +207,60 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _subcommand(sub, name: str, handler, help: str, flags, required=(), **defaults):
+    """Subcommand name declaring the _OPTIONS named in flags, those in
+    required as required; defaults maps an option's dest to its default in
+    this subcommand."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for flag in flags:
+        p.add_argument(flag, required=flag in required, **_OPTIONS[flag])
+    p.set_defaults(func=handler, **defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covmin",
         description="Kernel projections that suppress domain-specific variation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a multi-domain synthetic CSV")
-    _add_shared(p)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--domains", type=_positive_int, default=10)
-    p.add_argument("--dim", type=_positive_int, default=10)
-    p.add_argument("--mean-count", type=_positive_int, default=100)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("fit", help="fit a projection model from a CSV")
-    _add_shared(p)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("transform", help="project a CSV with a fitted model")
-    _add_shared(p)
-    p.add_argument("--model", help="fitted model path")
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("eval", help="repeated-experiment report")
-    _add_shared(p)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--lam", type=_positive_float, default=0.1)
-    p.add_argument("--compare", type=_names, default="dcm,coir,baseline")
-    p.add_argument("--model", help="score a fitted model instead of end-to-end")
-    p.add_argument("--train-domains", help="comma list of training domains (with --model)")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="wall-clock timing sweep")
-    _add_shared(p)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--sizes", type=_positive_ints, default="1000,2000,4000")
-    p.add_argument("--compare", type=_names, default="fastdcm")
-    p.set_defaults(func=cmd_bench)
+    _subcommand(sub, "synth", cmd_synth, "generate a multi-domain synthetic CSV",
+                ("--output", "--seed", "--eta", "--domains", "--dim", "--mean-count"),
+                required=("--output",))
+    _subcommand(sub, "fit", cmd_fit, "fit a projection model from a CSV",
+                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--output", "--algorithm"),
+                required=("--input", "--output", "--gamma"))
+    _subcommand(sub, "transform", cmd_transform, "project a CSV with a fitted model",
+                (*_CSV_OPTIONS, "--output", "--model"),
+                required=("--input", "--output", "--model"))
+    _subcommand(sub, "eval", cmd_eval, "repeated-experiment report",
+                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--output", "--eta", "--reps", "--lam",
+                 "--compare", "--model", "--train-domains"),
+                output="eval_report", gamma=0.5, compare="dcm,coir,baseline")
+    _subcommand(sub, "bench", cmd_bench, "wall-clock timing sweep",
+                (*_FIT_OPTIONS, "--label-kind", "--output", "--eta", "--sizes", "--compare"),
+                gamma=0.5, compare="fastdcm")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("fit", "transform") and not args.output:
-        parser.error("--output is required")
-    if args.command == "eval" and args.input and not args.model:
-        parser.error("--input needs --model: eval without --model runs the "
-                     "synthetic protocol and reads no file")
-    named = args.compare if args.command in ("eval", "bench") else (args.algorithm,)
-    if args.m > args.M and {"fastdcm", "fastcoir"} & set(named):
-        parser.error(f"m={args.m} must not exceed M={args.M}")
+    if args.command == "eval":
+        if args.input and not args.model:
+            parser.error("--input needs --model: eval without --model runs the "
+                         "synthetic protocol and reads no file")
+        if args.model and not (args.input and args.train_domains):
+            parser.error("--model needs --input and --train-domains")
+    if "compare" in args:
+        allowed = ALGORITHMS if args.command == "eval" else FITTERS
+        unknown = [a for a in args.compare if a not in allowed]
+        if unknown:
+            parser.error(f"--compare: unknown algorithm {unknown[0]!r} "
+                         f"(choose from {', '.join(allowed)})")
+    if "M" in args:
+        named = args.compare if "compare" in args else (args.algorithm,)
+        if args.m > args.M and {"fastdcm", "fastcoir"} & set(named):
+            parser.error(f"m={args.m} must not exceed M={args.M}")
     try:
         return args.func(args)
     except CovminError as exc:

@@ -38,13 +38,15 @@ from .kernels import (
     KernelSpec,
     _as_points,
     center_gram,
-    centered_gram,
     cross_gram,
     gram,
     rbf_cross_product,
 )
 # gen_eig is bound here too because benchmark tracing reads covmin.dcm.gen_eig
-from .linalg import gen_eig, lowrank_gen_eig, positive_eig  # noqa: F401
+from .linalg import gen_eig, lowrank_gen_eig, sym_eig  # noqa: F401
+
+#: eigenvalues at or below this fraction of max(largest, 1) count as zero
+_POSITIVE_TOL = 1e-12
 
 _MAGIC = b"CVPM"
 _VERSION = 1
@@ -103,7 +105,7 @@ def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     if spec.kind == DELTA:
         G = cross_gram(spec, values, np.unique(values))
         return G - G.mean(axis=0)
-    pairs = positive_eig(center_gram(gram(spec, values)))
+    pairs = sym_eig(center_gram(gram(spec, values)), tol=_POSITIVE_TOL)
     return pairs.vectors * np.sqrt(pairs.values)[None, :]
 
 
@@ -162,7 +164,7 @@ def _canonical_signs(coef: np.ndarray) -> np.ndarray:
 class KernelFactor:
     """Eigenbasis of the centered input Gram of the rows X under spec:
     H K H = vectors diag(values) vectors^T over the r eigenvalues above
-    1e-12 * max(largest, 1) (linalg.positive_eig), values descending.
+    1e-12 * max(largest, 1) (linalg.sym_eig with tol), values descending.
     row_means are the row means of the raw Gram K; a fitted model keeps
     them and transform subtracts their projection beta^T row_means.
     """
@@ -189,8 +191,10 @@ def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
     """
     _check_input_kernel(spec_x)
     X = np.array(X, dtype=float)
-    Kx, row_means = centered_gram(spec_x, X)
-    pairs = positive_eig(Kx)
+    K = gram(spec_x, X)
+    row_means = K.mean(axis=1)
+    K = center_gram(K)
+    pairs = sym_eig(K, tol=_POSITIVE_TOL)
     return KernelFactor(spec=spec_x, X=X, vectors=pairs.vectors, values=pairs.values,
                         row_means=row_means)
 

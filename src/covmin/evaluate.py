@@ -257,10 +257,26 @@ def resolve_spec_y(p, y: np.ndarray) -> KernelSpec:
 def _ridge_dual(factor, b: np.ndarray, lam: float) -> np.ndarray:
     """(Kx + lam I)^-1 b for the centered Gram Kx = U diag(values) U^T of
     factor: U (values + lam)^-1 U^T b on its range, plus (b - U U^T b) / lam
-    on the eigenvalues that positive_eig counts as zero."""
+    on the eigenvalues that kernel_factor counts as zero."""
     U = factor.vectors
     c = U.T @ b
     return U @ (c / (factor.values + lam)) + (b - U @ c) / lam
+
+
+def score_predictions(scores, truth, label_kind: str) -> dict:
+    """Metrics of ridge scores against the true outputs: rmse for
+    continuous outputs; for +-1 labels, accuracy, plus auc and gmean when
+    both classes are present."""
+    if label_kind == "continuous":
+        return {"rmse": metric_rmse(scores, truth)}
+    labels = predict_labels(scores)
+    out = {"accuracy": metric_accuracy(labels, truth)}
+    try:
+        out["auc"] = metric_auc(scores, truth)
+        out["gmean"] = gmean_from_labels(labels, truth)
+    except UndefinedMetric:
+        pass
+    return out
 
 
 def _fit_and_score(alg: str, cfg: ExperimentConfig, spec_x, train, test, factor,
@@ -282,18 +298,7 @@ def _fit_and_score(alg: str, cfg: ExperimentConfig, spec_x, train, test, factor,
         t0 = time.perf_counter()
         scores = predictor.predict(dcm.transform(model, test.X))
     timings[alg]["predict"] += time.perf_counter() - t0
-    out = {}
-    if cfg.label_kind == "continuous":
-        out["rmse"] = metric_rmse(scores, test.y)
-    else:
-        labels = predict_labels(scores)
-        out["accuracy"] = metric_accuracy(labels, test.y)
-        try:
-            out["auc"] = metric_auc(scores, test.y)
-            out["gmean"] = gmean_from_labels(labels, test.y)
-        except UndefinedMetric:
-            pass
-    return out
+    return score_predictions(scores, test.y, cfg.label_kind)
 
 
 def _tagged(exc: Exception, where: str) -> Exception:

@@ -168,19 +168,18 @@ def compute_omega(sk: NystromSketch, m: int) -> tuple[np.ndarray, np.ndarray]:
     approximated input Gram, values descending, with U = Cx omega
     orthonormal (N x r) and omega M x r.
 
-    With Sxx = V diag(s) V^T over the s above _RANK_TOL * max(s), U0 =
+    With Sxx = V diag(s) V^T over the s above _RANK_TOL * max(s, 1), U0 =
     Cx V s^-1/2 is orthonormal and Cx = U0 s^1/2 V^T, so the Gram is
     U0 G U0^T with G = s^1/2 V^T Wt_x V s^1/2 = Wg diag(values) Wg^T,
     and omega = V s^-1/2 Wg. A rank r below m raises RankDeficient.
     """
-    pairs = sym_eig(sk.Sxx)
-    keep = pairs.values > _RANK_TOL * max(pairs.values[0], 0.0)
-    if keep.sum() < m:
-        raise RankDeficient(f"effective rank {int(keep.sum())} is below the requested {m}")
-    root = np.sqrt(pairs.values[keep])
-    B = pairs.vectors[:, keep] * root
+    pairs = sym_eig(sk.Sxx, tol=_RANK_TOL)
+    if len(pairs.values) < m:
+        raise RankDeficient(f"effective rank {len(pairs.values)} is below the requested {m}")
+    root = np.sqrt(pairs.values)
+    B = pairs.vectors * root
     G = sym_eig(B.T @ sk.Wt_x @ B)
-    return G.values, (pairs.vectors[:, keep] / root) @ G.vectors
+    return G.values, (pairs.vectors / root) @ G.vectors
 
 
 def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,

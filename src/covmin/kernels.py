@@ -149,14 +149,6 @@ def center_gram(K: np.ndarray) -> np.ndarray:
     return 0.5 * (C + C.T)
 
 
-def centered_gram(spec: KernelSpec, items) -> tuple[np.ndarray, np.ndarray]:
-    """Centered training Gram plus the row means of the raw Gram, which
-    center_cross_from_means needs to center test columns later."""
-    K = gram(spec, items)
-    row_means = K.mean(axis=1)
-    return center_gram(K), row_means
-
-
 def center_cross_from_means(Kz: np.ndarray, row_means: np.ndarray) -> np.ndarray:
     """Center test columns using precomputed training row means.
 

@@ -21,9 +21,6 @@ from .errors import InvalidInput, SingularMatrix
 
 _log = logging.getLogger(__name__)
 
-#: eigenvalues at or below this fraction of max(largest, 1) count as zero
-_POSITIVE_TOL = 1e-12
-
 #: lowrank_gen_eig assembles pencils of at most this order for LAPACK. On
 #: criterion-4 pencils (m=5, 2-CPU Xeon, BLAS on one thread) LAPACK took
 #: 4.9 ms against 11.8 ms for Lanczos at r=200, the two stayed within 3 ms
@@ -54,30 +51,28 @@ def _require_symmetric(S: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def sym_eig(S: np.ndarray) -> EigPairs:
-    """Full symmetric eigendecomposition, eigenvalues descending.
+def sym_eig(S: np.ndarray, tol: float | None = None) -> EigPairs:
+    """Symmetric eigendecomposition, eigenvalues descending.
 
     Parameters
     ----------
     S : (M, M) array
         Symmetric within 1e-8 relative tolerance.
+    tol : float, optional
+        Keep only the eigenvalues above tol * max(largest, 1) and their
+        vectors, such as the numerical range of a PSD matrix. All are kept
+        if omitted.
 
     Returns
     -------
-    EigPairs with orthonormal vectors satisfying S = V diag(w) V^T.
+    EigPairs with orthonormal vectors; without tol, S = V diag(w) V^T.
     """
     S = _require_symmetric(S)
     w, V = np.linalg.eigh(S)
     order = np.argsort(w)[::-1]
+    if tol is not None:
+        order = order[w[order] > tol * max(w[order[0]], 1.0)]
     return EigPairs(values=w[order], vectors=V[:, order])
-
-
-def positive_eig(S: np.ndarray) -> EigPairs:
-    """sym_eig restricted to the eigenvalues above
-    1e-12 * max(largest, 1): the numerical range of a PSD matrix."""
-    pairs = sym_eig(S)
-    keep = pairs.values > _POSITIVE_TOL * max(pairs.values[0], 1.0)
-    return EigPairs(values=pairs.values[keep], vectors=pairs.vectors[:, keep])
 
 
 def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) -> EigPairs:

@@ -23,7 +23,6 @@ from covmin.kernels import (
     DELTA,
     center_cross_from_means,
     center_gram,
-    centered_gram,
     cross_gram,
     gram,
 )
@@ -120,7 +119,8 @@ def independent_per_rep(cfg) -> dict:
         train, test = split_domains(data, order[: cfg.train_domains])
         for alg in cfg.algorithms:
             if alg == "baseline":
-                Kx, row_means = centered_gram(spec_x, train.X)
+                K = gram(spec_x, train.X)
+                Kx, row_means = center_gram(K), K.mean(axis=1)
                 ym = float(train.y.mean())
                 alpha = np.linalg.solve(Kx + cfg.lam * np.eye(len(train)), train.y - ym)
                 Kz = center_cross_from_means(cross_gram(spec_x, train.X, test.X), row_means)

@@ -6,7 +6,7 @@ import pytest
 from conftest import principal_angles
 
 from covmin import KernelSpec, fit_dcm, load_csv, load_model
-from covmin.cli import main
+from covmin.cli import build_parser, main
 from covmin.kernels import center_gram, gram
 
 COLS = ",".join(f"x{j}" for j in range(10))
@@ -91,6 +91,19 @@ def test_compare_rejects_m_exceeding_M(argv, capsys):
     assert "must not exceed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--compare", "dcm,foo", "--reps", "1"], "--compare: unknown algorithm 'foo'"),
+    (["bench", "--compare", "baseline", "--sizes", "100"],
+     "--compare: unknown algorithm 'baseline'"),
+])
+def test_compare_rejects_unknown_algorithms(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     path = _synth(tmp_path)
     rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
@@ -98,10 +111,11 @@ def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     assert rc == 1
     assert "error: CovminError" in capsys.readouterr().err
 
-    rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
-               "--algorithm", "dcm"])
-    assert rc == 1
-    assert "gamma" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
+              "--algorithm", "dcm"])
+    assert exc.value.code == 2
+    assert "required: --gamma" in capsys.readouterr().err
 
 
 # an explicit zero output width is rejected too, not replaced by the
@@ -123,6 +137,8 @@ def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     (["synth", "--domains", "0"], "--domains: expected a positive int"),
     (["synth", "--dim", "0"], "--dim: expected a positive int"),
     (["synth", "--mean-count", "0"], "--mean-count: expected a positive int"),
+    (["synth", "--eta", "0"], "--eta: expected a positive float, got '0'"),
+    (["eval", "--eta", "-1"], "--eta: expected a positive float, got '-1'"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -130,6 +146,78 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+CSV_OPTIONS = {"--input", "--feature-cols", "--label-col", "--domain-col", "--label-kind"}
+FIT_OPTIONS = {"--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--seed"}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    declared = {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+                for name, p in subcommands.items()}
+    assert declared == {
+        "synth": {"--output", "--seed", "--eta", "--domains", "--dim", "--mean-count"},
+        "fit": CSV_OPTIONS | FIT_OPTIONS | {"--output", "--algorithm"},
+        "transform": CSV_OPTIONS | {"--output", "--model"},
+        "eval": CSV_OPTIONS | FIT_OPTIONS | {"--output", "--eta", "--reps", "--lam",
+                                             "--compare", "--model", "--train-domains"},
+        "bench": FIT_OPTIONS | {"--label-kind", "--output", "--eta", "--sizes", "--compare"},
+    }
+    assert sum(map(len, declared.values())) == 55
+
+
+# an option the subcommand does not read, or a prefix of one it does
+@pytest.mark.parametrize("argv", [
+    ["synth", "--output", "out.csv", "--gamma", "0.5"],
+    ["synth", "--output", "out.csv", "--algorithm", "fastdcm", "--m", "60"],
+    ["fit", "--input", "d.csv", "--output", "m.bin", "--gamma", "0.5", "--reps", "2"],
+    ["transform", "--input", "d.csv", "--output", "p.csv", "--model", "m.bin", "--m", "3"],
+    ["eval", "--algorithm", "kpca", "--reps", "1"],
+    ["bench", "--input", "d.csv", "--sizes", "100"],
+])
+def test_unread_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["synth", "--seed", "1"], "--output"),
+    (["fit", "--output", "m.bin", "--gamma", "0.5"], "--input"),
+    (["fit", "--input", "d.csv", "--gamma", "0.5"], "--output"),
+    (["transform", "--output", "p.csv", "--model", "m.bin"], "--input"),
+    (["transform", "--input", "d.csv", "--model", "m.bin"], "--output"),
+    (["transform", "--input", "d.csv", "--output", "p.csv"], "--model"),
+    (["eval", "--model", "m.bin", "--train-domains", "1,2"], "--input"),
+    (["eval", "--model", "m.bin", "--input", "d.csv"], "--train-domains"),
+])
+def test_missing_required_options_are_usage_errors(argv, missing, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert missing in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("header", [
+    ", ".join([*COLS.split(","), "y", "d"]),
+    ",".join(f'"{c}"' for c in [*COLS.split(","), "y", "d"]),
+], ids=["spaced", "quoted"])
+def test_fit_auto_columns_parse_the_header_as_load_csv_does(header, tmp_path):
+    path = _synth(tmp_path)
+    rows = open(path).read().splitlines()[1:]
+    rewritten = tmp_path / "header.csv"
+    rewritten.write_text("\n".join([header, *rows]) + "\n")
+    common = ["fit", "--gamma", "0.5", "--m", "2", "--output"]
+    assert main([*common, str(tmp_path / "a.bin"), "--input", path]) == 0
+    assert main([*common, str(tmp_path / "b.bin"), "--input", str(rewritten)]) == 0
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_fit_rejects_a_negative_landmark_seed(tmp_path, capsys):
@@ -200,8 +288,10 @@ def test_eval_scores_fitted_model(tmp_path):
                "--train-domains", "1,2,3", "--output", prefix])
     assert rc == 0
     payload = json.loads(open(prefix + ".json").read())
-    acc = payload["metrics"]["dcm"]["accuracy"]["mean"]
-    assert 0.0 <= acc <= 1.0
+    # the protocol's metrics: both classes are in the test domains
+    assert set(payload["metrics"]["dcm"]) == {"accuracy", "auc", "gmean"}
+    for metric in payload["metrics"]["dcm"].values():
+        assert 0.0 <= metric["mean"] <= 1.0
 
 
 def test_eval_rejects_train_domains_of_the_wrong_type(tmp_path, capsys):

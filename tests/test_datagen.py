@@ -150,6 +150,10 @@ def test_load_csv_handwritten(tmp_path):
     npt.assert_array_equal(data.y, [1.0, -1.0, 1.0])
     npt.assert_array_equal(data.d, [2, 2, 3])
     assert data.d.dtype == np.int64
+    # feature_cols None: every column but the label and domain columns,
+    # named as in a spaced and quoted header
+    path.write_text(' a,"y", b ,d\n0.5,1,9,2\n-1.5,-1,9,2\n2.0,1,9,3\n')
+    npt.assert_array_equal(load_csv(str(path), None, "y", "d").X, data.X)
 
 
 def test_load_csv_continuous_and_string_domains(tmp_path):

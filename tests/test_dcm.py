@@ -34,7 +34,7 @@ from covmin import (
 from covmin.dcm import _centered_factor
 from covmin.errors import RankDeficient
 from covmin.kernels import _BLOCK, center_gram, gram
-from covmin.linalg import positive_eig
+from covmin.linalg import sym_eig
 
 
 def _random_problem(rng, N):
@@ -46,7 +46,7 @@ def _random_problem(rng, N):
 
     Fx = centered(N)
     Kx = center_gram(Fx @ Fx.T)
-    basis = positive_eig(Kx)
+    basis = sym_eig(Kx, tol=1e-12)
     factor = KernelFactor(spec=None, X=None, vectors=basis.vectors, values=basis.values,
                           row_means=np.zeros(N))
     return Kx, factor, centered(2), centered(2)
@@ -176,7 +176,6 @@ def test_kpca_line_and_duplication():
     data = DataSet(X=X, y=np.ones(40), d=np.ones(40, dtype=np.int64))
     spec = KernelSpec("rbf", 1e-3)  # nearly linear kernel at this width
     model = fit_kpca(data, spec, 3)
-    from covmin.linalg import sym_eig
 
     all_vals = sym_eig(center_gram(gram(spec, X))).values
     mass = all_vals[all_vals > 0]

@@ -6,7 +6,7 @@ from conftest import principal_angles
 
 from covmin import InvalidInput, SingularMatrix, linalg
 from covmin.errors import RankDeficient
-from covmin.linalg import gen_eig, lowrank_gen_eig, positive_eig, ridge_inverse, sym_eig
+from covmin.linalg import gen_eig, lowrank_gen_eig, ridge_inverse, sym_eig
 
 
 def test_sym_eig_identity_and_diag():
@@ -133,12 +133,12 @@ def test_lowrank_gen_eig_errors(monkeypatch):
         lowrank_gen_eig(d, Ya, Yb, 1, -d.max())
 
 
-def test_positive_eig_keeps_numerical_range():
-    pairs = positive_eig(np.diag([4.0, 0.0, 1e-13, 2.0, -1e-15]))
+def test_sym_eig_tol_keeps_numerical_range():
+    pairs = sym_eig(np.diag([4.0, 0.0, 1e-13, 2.0, -1e-15]), tol=1e-12)
     npt.assert_allclose(pairs.values, [4.0, 2.0])
     npt.assert_allclose(np.abs(pairs.vectors), np.eye(5)[:, [0, 3]], atol=1e-14)
     # the threshold is relative to max(largest, 1)
-    assert len(positive_eig(np.diag([1e-11, 1e-13])).values) == 1
+    assert len(sym_eig(np.diag([1e-11, 1e-13]), tol=1e-12).values) == 1
 
 
 def test_ridge_inverse():
