@@ -86,6 +86,9 @@ _OPTIONS = {
 
 _CSV_OPTIONS = ("--input", "--feature-cols", "--label-col", "--domain-col", "--label-kind")
 _FIT_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--seed")
+#: eval options that only the synthetic protocol reads, not eval --model
+_PROTOCOL_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--eta", "--reps",
+                     "--compare")
 
 
 def _load_input(args) -> DataSet:
@@ -243,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval":
@@ -251,6 +255,11 @@ def main(argv=None) -> int:
                          "synthetic protocol and reads no file")
         if args.model and not (args.input and args.train_domains):
             parser.error("--model needs --input and --train-domains")
+        given = [o for o in _PROTOCOL_OPTIONS
+                 if any(a == o or a.startswith(o + "=") for a in argv)]
+        if args.model and given:
+            parser.error(f"eval --model does not read {', '.join(given)} "
+                         "(only the synthetic protocol does)")
     if "compare" in args:
         allowed = ALGORITHMS if args.command == "eval" else FITTERS
         unknown = [a for a in args.compare if a not in allowed]

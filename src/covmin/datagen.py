@@ -187,12 +187,13 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
              label_kind: str = "discrete") -> DataSet:
     """Parse a CSV with named feature, output, and domain columns.
 
-    Header names are matched after stripping surrounding whitespace;
-    feature_cols None takes every column except the label and domain
-    columns, in header order. label_kind "discrete" keeps labels as
-    integers cast to float when possible; "continuous" parses them as
-    floats. Unparsable numerics and rows too short for the named columns
-    raise with the 1-based line number.
+    Header names are matched after stripping surrounding whitespace, and
+    a name that occurs twice raises SchemaError; feature_cols None takes
+    every column except the label and domain columns, in header order.
+    label_kind "discrete" keeps labels as integers cast to float when
+    possible; "continuous" parses them as floats. Unparsable numerics and
+    rows too short for the named columns raise with the 1-based line
+    number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -201,6 +202,9 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
         except StopIteration:
             raise InvalidInput(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        duplicated = sorted({c for c in header if header.count(c) > 1})
+        if duplicated:
+            raise SchemaError(f"{path}: duplicate columns {duplicated}")
         if feature_cols is None:
             feature_cols = [c for c in header if c not in (label_col, domain_col)]
         missing = [c for c in list(feature_cols) + [label_col, domain_col] if c not in header]

@@ -99,14 +99,23 @@ def _centered_factor(spec: KernelSpec, values) -> np.ndarray:
     """F with F F^T equal to the centered Gram of values under spec.
 
     Delta kernel: the centered one-hot matrix, N x (distinct values),
-    exact. RBF: eigenvectors of the centered Gram scaled by the square
-    roots of its positive eigenvalues.
+    exact. RBF: the pivoted Cholesky factor of the raw Gram K (LAPACK
+    dpstrf, blocked, in place), N x k for the k pivots taken before the
+    largest remaining diagonal falls under LAPACK's default tolerance,
+    N * machine epsilon * max diagonal. Its column means are subtracted,
+    which is exact: (H F)(H F)^T = H K H.
     """
     if spec.kind == DELTA:
         G = cross_gram(spec, values, np.unique(values))
         return G - G.mean(axis=0)
-    pairs = sym_eig(center_gram(gram(spec, values)), tol=_POSITIVE_TOL)
-    return pairs.vectors * np.sqrt(pairs.values)[None, :]
+    # K.T is K in Fortran order, which lets dpstrf overwrite it in place
+    c, piv, rank, _ = sla.lapack.dpstrf(gram(spec, values).T, lower=1, overwrite_a=1)
+    L = np.tril(c[:, :rank])
+    del c  # the Gram, factored in place
+    # P^T K P = L L^T with P e_i = e_(piv[i] - 1): F = P L
+    F = L[np.argsort(piv)]
+    F -= F.mean(axis=0)
+    return F
 
 
 def build_operator_pair(factor, Fy: np.ndarray, Fd: np.ndarray | None, epsilon: float):
@@ -265,11 +274,12 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     InvalidInput.
 
     Cost: one N x N symmetric eigendecomposition of the centered input
-    Gram unless factor is given (and one of the output Gram for an RBF
-    output kernel), O(N^3); then the top m pairs of an r x r
-    symmetric-definite pencil, r the numerical rank of the input Gram, by
-    Lanczos on its factors in O(iterations r (c + T)), c the output factor
-    columns and T the domains. Memory O(N^2).
+    Gram unless factor is given, O(N^3); for an RBF output kernel, a
+    pivoted Cholesky factor of the output Gram in O(N k^2), k its columns;
+    then the top m pairs of an r x r symmetric-definite pencil, r the
+    numerical rank of the input Gram, by Lanczos on its factors in
+    O(iterations r (c + T)), c the output factor columns and T the
+    domains. Memory O(N^2).
     """
     return _fit_projected(data, spec_x, spec_y, spec_d, epsilon, m, "dcm",
                           zero_domain=False, factor=factor)

@@ -93,14 +93,26 @@ def _as_points(items) -> np.ndarray:
 def gram(spec: KernelSpec, items) -> np.ndarray:
     """Dense Gram matrix K[i, j] = k(items[i], items[j]).
 
-    RBF and delta Grams both carry a unit diagonal, enforced exactly.
+    RBF and delta Grams both carry a unit diagonal, enforced exactly. The
+    RBF Gram is made exactly symmetric in place, (K + K^T) / 2 over strips
+    of at most _BLOCK entries, so it needs no second N x N array.
     """
     if spec.kind == DELTA:
         return _delta(items, items)
     X = _as_points(items)
     sx = np.einsum("ij,ij->i", X, X)
     K = _rbf_block(X @ X.T, spec.gamma, sx, sx)
-    K = 0.5 * (K + K.T)
+    n = len(K)
+    step = max(1, _BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        hi = lo + step
+        # the strip K[lo:hi, lo:] and its mirror K[lo:, lo:hi]; earlier
+        # strips touched no entry whose row and column are both >= lo
+        S = K[lo:hi, lo:] + K[lo:, lo:hi].T
+        S *= 0.5
+        K[lo:hi, lo:] = S
+        K[lo:, lo:hi] = S.T
+        del S  # so that the next strip's S is the only one alive
     np.fill_diagonal(K, 1.0)
     return K
 

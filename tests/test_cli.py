@@ -294,6 +294,27 @@ def test_eval_scores_fitted_model(tmp_path):
         assert 0.0 <= metric["mean"] <= 1.0
 
 
+@pytest.mark.parametrize("extra, named", [
+    (["--reps", "5", "--eta", "3", "--compare", "kpca", "--gamma", "9"],
+     "--gamma, --eta, --reps, --compare"),
+    # reported as unread, before the m <= M check of a fit that never runs
+    (["--compare", "fastdcm", "--m=60"], "--m, --compare"),
+    (["--epsilon", "0.1", "--gamma-y=2", "--M", "10"], "--epsilon, --gamma-y, --M"),
+])
+def test_eval_model_rejects_the_protocol_options(extra, named, tmp_path, capsys):
+    path = _synth(tmp_path)
+    model_path = str(tmp_path / "m.bin")
+    assert main(["fit", "--input", path, "--output", model_path,
+                 "--algorithm", "fastdcm", "--gamma", "0.5", "--m", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--model", model_path, "--input", path, "--train-domains", "1,2,3",
+              "--output", str(tmp_path / "rep"), *extra])
+    assert exc.value.code == 2
+    assert f"eval --model does not read {named}" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_eval_rejects_train_domains_of_the_wrong_type(tmp_path, capsys):
     path = _synth(tmp_path)
     model_path = str(tmp_path / "m.bin")

@@ -193,6 +193,14 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(SchemaError, match="missing"):
         load_csv(str(path), ["a", "zz"], "y", "d")
 
+    # a name given twice (once spaced, too) is ambiguous whichever columns
+    # are asked for
+    for header, duplicated in (("a,a,y,d", "a"), ("a, a ,y,d", "a"), ("a,y,d,d", "d")):
+        path.write_text(header + "\n1,5,1,1\n2,6,1,2\n")
+        for cols in (None, ["a"]):
+            with pytest.raises(SchemaError, match=rf"duplicate columns \['{duplicated}'\]"):
+                load_csv(str(path), cols, "y", "d")
+
 
 def test_dataset_validation():
     with pytest.raises(InvalidInput):

@@ -98,6 +98,12 @@ def test_operator_pair_validation():
     (KernelSpec("delta"), np.array([1.0, -1.0, -1.0, 1.0, 1.0, 2.0])),
     (KernelSpec("delta"), np.array(["b", "a", "b", "c"])),
     (KernelSpec("rbf", 0.7), np.linspace(-2.0, 2.0, 9)),
+    # repeated values: a rank-deficient Gram, one pivot per distinct value
+    (KernelSpec("rbf", 0.7), np.repeat([-1.0, 0.5, 2.0], [4, 1, 3])),
+    # a constant target: K = 1 1^T, whose centered Gram is 0
+    (KernelSpec("rbf", 0.7), np.full(7, 3.0)),
+    # off-diagonal entries below 1e-43, so a full-rank Gram
+    (KernelSpec("rbf", 100.0), np.linspace(0.0, 10.0, 11)),
 ])
 def test_centered_factor_reproduces_centered_gram(spec, values):
     F = _centered_factor(spec, values)
@@ -105,6 +111,26 @@ def test_centered_factor_reproduces_centered_gram(spec, values):
     npt.assert_allclose(F @ F.T, K, atol=1e-12)
     if spec.kind == "delta":
         assert F.shape == (len(values), len(np.unique(values)))
+    else:  # pivoted Cholesky: one column per pivot, at most one per distinct value
+        assert F.shape[1] <= len(np.unique(values))
+        npt.assert_allclose(F.sum(axis=0), 0.0, atol=1e-12)
+
+
+def test_rbf_output_factor_needs_no_eigendecomposition(small_data, rbf, monkeypatch):
+    """An RBF output enters as a pivoted Cholesky factor, so a dense fit
+    eigendecomposes the input Gram only."""
+    calls = []
+
+    def counted(S, tol=None):
+        calls.append(S.shape)
+        return sym_eig(S, tol)
+
+    monkeypatch.setattr("covmin.dcm.sym_eig", counted)
+    y = small_data.X[:, 0] + 0.1 * small_data.d
+    data = DataSet(X=small_data.X, y=y, d=small_data.d)
+    fit_dcm(data, rbf, 1e-3, 3, spec_y=KernelSpec("rbf", 1.0))
+    N = len(small_data.X)
+    assert calls == [(N, N)]
 
 
 def test_fit_dcm_invariants(small_data, rbf):

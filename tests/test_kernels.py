@@ -62,6 +62,31 @@ def test_gram_symmetric_unit_diagonal(rbf):
             assert abs(K[i, j] - eval_kernel(rbf, X[i], X[j])) < 1e-12
 
 
+@pytest.mark.parametrize("N, block", [(1, None), (50, 1), (50, 350), (700, None)])
+def test_gram_is_the_mean_of_both_triangles(N, block, rbf, monkeypatch):
+    """gram symmetrizes in strips (of 1 row, of 7 rows with a last strip of
+    1, of 374 and 326 rows, of all rows); every entry is bit for bit the
+    out-of-place (K + K^T) / 2 of the unsymmetrized kernel block."""
+    if block is not None:
+        monkeypatch.setattr("covmin.kernels._BLOCK", block)
+    X = np.random.default_rng(N).standard_normal((N, 3))
+    K = cross_gram(rbf, X, X)
+    expected = 0.5 * (K + K.T)
+    np.fill_diagonal(expected, 1.0)
+    npt.assert_array_equal(gram(rbf, X), expected)
+
+
+def test_gram_allocates_only_its_output(rbf):
+    X = np.random.default_rng(0).standard_normal((1600, 10))
+    tracemalloc.start()
+    try:
+        K = gram(rbf, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * K.nbytes
+
+
 def test_cross_gram_values(rbf):
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     npt.assert_allclose(cross_gram(rbf, X, X), gram(rbf, X), atol=1e-12)

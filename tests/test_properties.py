@@ -254,3 +254,18 @@ def test_factor_form_ridge_equals_the_dense_solve(seed, N, duplicated, gamma, la
     rounding = 2 * 3 * N * np.finfo(float).eps * kappa
     bound = (tau / lam + rounding) * np.linalg.norm(b) / lam
     assert np.linalg.norm(_ridge_dual(factor, b, lam) - exact) <= bound
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.booleans(), st.floats(-4.0, 4.0))
+def test_rbf_output_factor_reproduces_the_centered_gram(seed, N, tied, log10_gamma):
+    """The pivoted Cholesky factor, centered, against H K H, for 1-D
+    targets (some with tied values) and gamma from 1e-4 to 1e4: from a Gram
+    of nearly all ones (rank 1) to one near the identity (rank N)."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(N)
+    if tied:
+        y = rng.choice(y[: max(1, N // 4)], size=N)
+    spec = KernelSpec("rbf", 10.0 ** log10_gamma)
+    F = _centered_factor(spec, y)
+    assert np.abs(F @ F.T - center_gram(gram(spec, y))).max() <= 1e-10
