@@ -84,7 +84,7 @@ _OPTIONS = {
     "--train-domains": dict(help="comma list of training domains (with --model)"),
 }
 
-_CSV_OPTIONS = ("--input", "--feature-cols", "--label-col", "--domain-col", "--label-kind")
+_CSV_OPTIONS = ("--input", "--feature-cols", "--label-col", "--domain-col")
 _FIT_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--seed")
 #: eval options that only the synthetic protocol reads, not eval --model
 _PROTOCOL_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--eta", "--reps",
@@ -93,8 +93,7 @@ _PROTOCOL_OPTIONS = ("--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--eta",
 
 def _load_input(args) -> DataSet:
     cols = None if args.feature_cols == "auto" else _names(args.feature_cols)
-    return load_csv(args.input, cols, args.label_col, args.domain_col,
-                    label_kind=args.label_kind)
+    return load_csv(args.input, cols, args.label_col, args.domain_col)
 
 
 def cmd_synth(args) -> int:
@@ -230,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
                 ("--output", "--seed", "--eta", "--domains", "--dim", "--mean-count"),
                 required=("--output",))
     _subcommand(sub, "fit", cmd_fit, "fit a projection model from a CSV",
-                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--output", "--algorithm"),
+                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--label-kind", "--output", "--algorithm"),
                 required=("--input", "--output", "--gamma"))
     _subcommand(sub, "transform", cmd_transform, "project a CSV with a fitted model",
                 (*_CSV_OPTIONS, "--output", "--model"),
                 required=("--input", "--output", "--model"))
     _subcommand(sub, "eval", cmd_eval, "repeated-experiment report",
-                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--output", "--eta", "--reps", "--lam",
-                 "--compare", "--model", "--train-domains"),
+                (*_CSV_OPTIONS, *_FIT_OPTIONS, "--label-kind", "--output", "--eta", "--reps",
+                 "--lam", "--compare", "--model", "--train-domains"),
                 output="eval_report", gamma=0.5, compare="dcm,coir,baseline")
     _subcommand(sub, "bench", cmd_bench, "wall-clock timing sweep",
                 (*_FIT_OPTIONS, "--label-kind", "--output", "--eta", "--sizes", "--compare"),

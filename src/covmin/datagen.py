@@ -183,17 +183,15 @@ def _parse_float(text: str, lineno: int, col: str) -> float:
         raise InvalidInput(f"line {lineno}: column {col!r} has a bad numeric {text!r}") from None
 
 
-def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
-             label_kind: str = "discrete") -> DataSet:
+def load_csv(path: str, feature_cols, label_col: str, domain_col: str) -> DataSet:
     """Parse a CSV with named feature, output, and domain columns.
 
     Header names are matched after stripping surrounding whitespace, and
     a name that occurs twice raises SchemaError; feature_cols None takes
     every column except the label and domain columns, in header order.
-    label_kind "discrete" keeps labels as integers cast to float when
-    possible; "continuous" parses them as floats. Unparsable numerics and
-    rows too short for the named columns raise with the 1-based line
-    number.
+    Labels are parsed as floats, discrete or continuous alike. Unparsable
+    numerics and rows too short for the named columns raise with the
+    1-based line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -227,12 +225,9 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str,
             rows_d.append(row[didx].strip())
     if not rows_X:
         raise InvalidInput(f"{path}: no data rows")
-    y = np.asarray(rows_y, dtype=float)
-    # a non-finite label stays as parsed, for DataSet to reject
-    if label_kind == "discrete" and np.isfinite(y).all():
-        y = y.astype(np.int64).astype(float)
     try:
         d = np.asarray([int(v) for v in rows_d], dtype=np.int64)
     except ValueError:
         d = np.asarray(rows_d)
-    return DataSet(X=np.asarray(rows_X, dtype=float), y=y, d=d)
+    return DataSet(X=np.asarray(rows_X, dtype=float), y=np.asarray(rows_y, dtype=float),
+                   d=d)

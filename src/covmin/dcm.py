@@ -12,9 +12,11 @@ diagonal plus a low-rank term, rank c (output factor columns) on the left
 and T (domains) on the right; build_operator_pair returns the low-rank
 factors and linalg.lowrank_gen_eig finds the top m pairs from them.
 That eigenbasis is a KernelFactor (kernel_factor); fits on the same rows
-can share one through their factor= keyword. The landmark path runs the
-same reduction and solve (_fit_factor) on the eigenbasis of its sketched
-input Gram (fastpath.LandmarkFactor).
+can share one through their factor= keyword. Every fit ends in one tail,
+_fit_factor: the rank check, the output and domain factors, the
+reduction and the solve. The landmark path runs it on the eigenbasis of
+its sketched input Gram (fastpath.NystromSketch, from
+fastpath.build_sketch) and its own output and domain factors.
 
 Degenerations: zeroing the domain Gram gives inverse-regression behavior
 (coir); dropping supervision entirely reduces to kernel PCA (kpca).
@@ -129,7 +131,7 @@ def build_operator_pair(factor, Fy: np.ndarray, Fd: np.ndarray | None, epsilon: 
 
     factor is the input factor Kx = U diag(lam) U^T, U an orthonormal
     N x r basis: a KernelFactor (dense, U explicit) or a
-    fastpath.LandmarkFactor (the sketched Gram, U = Cx omega implicit).
+    fastpath.NystromSketch (the sketched Gram, U = Cx omega implicit).
     Only its values lam, its N row_means and factor.project(F) = U^T F
     are used. The nonzero eigenvalues live on v = U diag(lam)^-1/2 w, and
 
@@ -209,21 +211,23 @@ def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
 
 
 def _input_factor(data: DataSet, spec_x, m: int, factor: KernelFactor | None):
-    """The input factor of data.X, built unless given; it must span at least
-    m directions."""
-    _check_input_kernel(spec_x)
+    """The input factor of data.X, built unless given."""
     N = data.X.shape[0]
     if not 1 <= m <= N:
         raise InvalidInput(f"m must be in [1, {N}], got {m}")
     if factor is None:
-        factor = kernel_factor(spec_x, data.X)
-    elif factor.spec != spec_x or not np.array_equal(factor.X, data.X):
+        return kernel_factor(spec_x, data.X)
+    _check_input_kernel(spec_x)
+    if factor.spec != spec_x or not np.array_equal(factor.X, data.X):
         raise InvalidInput("factor was built from other rows or another input kernel")
+    return factor
+
+
+def _require_rank(factor, m: int) -> None:
     if len(factor.values) < m:
         raise RankDeficient(
             f"centered Gram has only {len(factor.values)} positive directions, need {m}"
         )
-    return factor
 
 
 def _model(algorithm, coef, eigenvalues, X, factor, landmarks=None) -> ProjectionModel:
@@ -238,23 +242,26 @@ def _model(algorithm, coef, eigenvalues, X, factor, landmarks=None) -> Projectio
     )
 
 
-def _fit_factor(algorithm, X, factor, Fy, Fd, epsilon, m, landmarks=None) -> ProjectionModel:
+def _fit_factor(algorithm, data: DataSet, factor, side, spec_y, spec_d, zero_domain: bool,
+                epsilon, m, landmarks=None) -> ProjectionModel:
     """The fit tail shared by the dense and landmark paths: the top m
     pairs of the reduced pencil of factor (build_operator_pair), each
-    direction scaled to unit norm under the factor's centered Gram."""
+    direction scaled to unit norm under the factor's centered Gram.
+
+    factor is the input factor of data.X, which must span at least m
+    directions. side(spec, values) builds the output and domain factors
+    on the same approximation: _centered_factor on the dense path, the
+    landmark Nystrom factor (fastpath._side_factor) on the landmark path.
+    spec_y and spec_d default to delta; zero_domain drops the domain term.
+    """
+    _require_rank(factor, m)
+    Fy = side(spec_y or KernelSpec(DELTA), data.y)
+    Fd = None if zero_domain else side(spec_d or KernelSpec(DELTA), data.d)
     Yy, Yd = build_operator_pair(factor, Fy, Fd, epsilon)
     pairs = lowrank_gen_eig(factor.values * factor.values, Yy, Yd, m,
-                            ridge=len(X) * epsilon)
-    return _model(algorithm, factor.coefficients(pairs.vectors), pairs.values, X, factor,
-                  landmarks)
-
-
-def _fit_projected(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, algorithm,
-                   zero_domain: bool, factor) -> ProjectionModel:
-    factor = _input_factor(data, spec_x, m, factor)
-    Fy = _centered_factor(spec_y or KernelSpec(DELTA), data.y)
-    Fd = None if zero_domain else _centered_factor(spec_d or KernelSpec(DELTA), data.d)
-    return _fit_factor(algorithm, data.X, factor, Fy, Fd, epsilon, m)
+                            ridge=len(data) * epsilon)
+    return _model(algorithm, factor.coefficients(pairs.vectors), pairs.values, data.X,
+                  factor, landmarks)
 
 
 def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -281,8 +288,8 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     O(iterations r (c + T)), c the output factor columns and T the
     domains. Memory O(N^2).
     """
-    return _fit_projected(data, spec_x, spec_y, spec_d, epsilon, m, "dcm",
-                          zero_domain=False, factor=factor)
+    return _fit_factor("dcm", data, _input_factor(data, spec_x, m, factor),
+                       _centered_factor, spec_y, spec_d, False, epsilon, m)
 
 
 def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -291,8 +298,8 @@ def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     """Single-domain degeneration: the domain term is dropped, so the
     right-hand operator is built from the input Gram alone. factor is
     used as in fit_dcm and never changes the result."""
-    return _fit_projected(data, spec_x, spec_y, None, epsilon, m, "coir",
-                          zero_domain=True, factor=factor)
+    return _fit_factor("coir", data, _input_factor(data, spec_x, m, factor),
+                       _centered_factor, spec_y, None, True, epsilon, m)
 
 
 def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int, *,
@@ -301,6 +308,7 @@ def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int, *,
     Gram, scaled like the other fits (unit norm under the Gram). factor is
     used as in fit_dcm and never changes the result."""
     factor = _input_factor(data, spec_x, m, factor)
+    _require_rank(factor, m)
     vals = factor.values[:m]
     coef = factor.vectors[:, :m] / np.sqrt(vals)[None, :]
     return _model("kpca", coef, vals, data.X, factor)
@@ -385,6 +393,9 @@ def _parse_header(blob: bytes, path: str) -> dict:
            if type(header[k]) is not int or header[k] < 0]
     if bad:
         raise InvalidInput(f"{path}: model header counts {bad} are not non-negative integers")
+    if not isinstance(header["algorithm"], str):
+        raise InvalidInput(f"{path}: model header algorithm {header['algorithm']!r} "
+                           "is not a string")
     if header["kernel_kind"] != RBF:
         raise InvalidInput(f"{path}: model kernel {header['kernel_kind']!r} is not rbf")
     return header

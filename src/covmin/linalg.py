@@ -42,11 +42,17 @@ class EigPairs:
 
 
 def _require_symmetric(S: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+    """S symmetrized, 0.5 (S + S^T); S itself when it is exactly symmetric,
+    which that average would return bit for bit."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise InvalidInput("expected a square matrix")
-    scale = np.abs(S).max()
-    if scale > 0 and np.abs(S - S.T).max() > rtol * scale:
+    D = S - S.T
+    asymmetry = np.abs(D, out=D).max(initial=0.0)
+    del D
+    if asymmetry == 0:
+        return S
+    if asymmetry > rtol * np.abs(S).max():
         raise InvalidInput("matrix is not symmetric within tolerance")
     return 0.5 * (S + S.T)
 
@@ -71,7 +77,7 @@ def sym_eig(S: np.ndarray, tol: float | None = None) -> EigPairs:
     w, V = np.linalg.eigh(S)
     order = np.argsort(w)[::-1]
     if tol is not None:
-        order = order[w[order] > tol * max(w[order[0]], 1.0)]
+        order = order[w[order] > tol * w.max(initial=1.0)]
     return EigPairs(values=w[order], vectors=V[:, order])
 
 

@@ -148,7 +148,7 @@ def test_out_of_range_arguments_are_usage_errors(argv, message, tmp_path, capsys
     assert not list(tmp_path.iterdir())
 
 
-CSV_OPTIONS = {"--input", "--feature-cols", "--label-col", "--domain-col", "--label-kind"}
+CSV_OPTIONS = {"--input", "--feature-cols", "--label-col", "--domain-col"}
 FIT_OPTIONS = {"--epsilon", "--gamma", "--gamma-y", "--m", "--M", "--seed"}
 
 
@@ -158,13 +158,14 @@ def test_each_subcommand_declares_only_the_options_it_reads():
                 for name, p in subcommands.items()}
     assert declared == {
         "synth": {"--output", "--seed", "--eta", "--domains", "--dim", "--mean-count"},
-        "fit": CSV_OPTIONS | FIT_OPTIONS | {"--output", "--algorithm"},
+        "fit": CSV_OPTIONS | FIT_OPTIONS | {"--label-kind", "--output", "--algorithm"},
         "transform": CSV_OPTIONS | {"--output", "--model"},
-        "eval": CSV_OPTIONS | FIT_OPTIONS | {"--output", "--eta", "--reps", "--lam",
-                                             "--compare", "--model", "--train-domains"},
+        "eval": CSV_OPTIONS | FIT_OPTIONS | {"--label-kind", "--output", "--eta", "--reps",
+                                             "--lam", "--compare", "--model",
+                                             "--train-domains"},
         "bench": FIT_OPTIONS | {"--label-kind", "--output", "--eta", "--sizes", "--compare"},
     }
-    assert sum(map(len, declared.values())) == 55
+    assert sum(map(len, declared.values())) == 54
 
 
 # an option the subcommand does not read, or a prefix of one it does
@@ -175,6 +176,8 @@ def test_each_subcommand_declares_only_the_options_it_reads():
     ["transform", "--input", "d.csv", "--output", "p.csv", "--model", "m.bin", "--m", "3"],
     ["eval", "--algorithm", "kpca", "--reps", "1"],
     ["bench", "--input", "d.csv", "--sizes", "100"],
+    ["transform", "--input", "d.csv", "--output", "p.csv", "--model", "m.bin",
+     "--label-kind", "continuous"],
 ])
 def test_unread_options_are_usage_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -354,6 +357,25 @@ def test_transform_rejects_corrupt_model_and_nan_rows(tmp_path, capsys):
                "--model", model_path])
     assert rc == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_eval_rejects_a_model_whose_algorithm_is_not_a_string(tmp_path, capsys):
+    path = _synth(tmp_path)
+    model_path = tmp_path / "m.bin"
+    assert main(["fit", "--input", path, "--output", str(model_path),
+                 "--algorithm", "dcm", "--gamma", "0.5", "--m", "2"]) == 0
+    blob = model_path.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    raw = json.dumps(dict(header, algorithm=["x"])).encode()
+    model_path.write_bytes(blob[:8] + len(raw).to_bytes(4, "little") + raw
+                           + blob[12 + hlen:])
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(model_path), "--input", path,
+               "--train-domains", "1,2,3", "--output", str(tmp_path / "rep")])
+    assert rc == 1
+    assert "error: InvalidInput" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_bench_csv_schema(tmp_path):

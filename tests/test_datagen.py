@@ -159,9 +159,19 @@ def test_load_csv_handwritten(tmp_path):
 def test_load_csv_continuous_and_string_domains(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,y,d\n1.0,0.25,home\n2.0,0.75,away\n")
-    data = load_csv(str(path), ["a"], "y", "d", label_kind="continuous")
+    data = load_csv(str(path), ["a"], "y", "d")
     npt.assert_array_equal(data.y, [0.25, 0.75])
     assert list(data.d) == ["home", "away"]
+
+
+def test_load_csv_keeps_labels_as_parsed(tmp_path):
+    """Labels are never cast to integers: fractional class labels stay
+    distinct classes and large ones keep their value."""
+    path = tmp_path / "t.csv"
+    path.write_text("a,y,d\n1.0,0.25,1\n2.0,0.75,1\n3.0,0.25,2\n4.0,1e20,2\n")
+    data = load_csv(str(path), ["a"], "y", "d")
+    npt.assert_array_equal(data.y, [0.25, 0.75, 0.25, 1e20])
+    assert len(np.unique(data.y)) == 3
 
 
 def test_load_csv_errors(tmp_path):
@@ -182,12 +192,11 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(InvalidInput, match="empty"):
         load_csv(str(path), ["a"], "y", "d")
 
-    # non-finite features and labels, also where discrete labels are cast
-    for text in ("nan,1,1", "1,inf,1"):
+    # non-finite features and labels
+    for text in ("nan,1,1", "1,inf,1", "1,nan,1", "1,-inf,1"):
         path.write_text("a,y,d\n1,1,1\n" + text + "\n")
-        for kind in ("discrete", "continuous"):
-            with pytest.raises(InvalidInput, match="non-finite"):
-                load_csv(str(path), ["a"], "y", "d", label_kind=kind)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            load_csv(str(path), ["a"], "y", "d")
 
     path.write_text("a,y,d\n1,1,1\n")
     with pytest.raises(SchemaError, match="missing"):

@@ -19,6 +19,7 @@ from covmin import (
     KernelSpec,
     SynthConfig,
     build_operator_pair,
+    build_sketch,
     fit_coir,
     fit_dcm,
     fit_fastcoir,
@@ -298,7 +299,8 @@ def test_transform_sees_edits_made_before_its_first_call(small_data, rbf):
     lambda data, spec: fit_kpca(data, spec, 2),
     lambda data, spec: fit_fastdcm(data, spec, 1e-3, 2, M=20, seed=0),
     lambda data, spec: fit_fastcoir(data, spec, 1e-3, 2, M=20, seed=0),
-], ids=["dcm", "coir", "kpca", "fastdcm", "fastcoir"])
+    lambda data, spec: build_sketch(data, spec, [0, 1, 2]),
+], ids=["dcm", "coir", "kpca", "fastdcm", "fastcoir", "build_sketch"])
 def test_fits_require_an_rbf_input_kernel(fit, small_data):
     with pytest.raises(InvalidInput, match="must be rbf"):
         fit(small_data, KernelSpec("delta"))
@@ -331,6 +333,22 @@ def test_factor_of_other_rows_or_kernel_is_rejected(alg, small_data, rbf):
                    kernel_factor(rbf, X[perm]), kernel_factor(KernelSpec("rbf", 0.25), X)):
         with pytest.raises(InvalidInput, match="factor was built from other rows"):
             fit(small_data, rbf, factor=factor)
+
+
+def test_kernel_factor_peak_memory(rbf):
+    """kernel_factor holds at most three N x N matrices at once: the
+    centered Gram, the eigensolver's copy of it and the eigenvectors."""
+    import tracemalloc
+
+    N = 1600
+    X = np.random.default_rng(0).standard_normal((N, 5))
+    tracemalloc.start()
+    try:
+        kernel_factor(rbf, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 8 * N * N
 
 
 def _lanczos_sized_data(rbf):
@@ -423,7 +441,8 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
             load_model(str(bad))
 
     # full-length but corrupt JSON headers: not JSON, not an object, a
-    # missing key, a count that is not a non-negative integer
+    # missing key, a count that is not a non-negative integer, a bad
+    # gamma, kernel or algorithm
     import json
 
     hlen = struct.unpack("<I", bytes(blob[8:12]))[0]
@@ -457,6 +476,10 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
                                                 kernel_gamma=None))))
     with pytest.raises(InvalidInput, match="not rbf"):
         load_model(str(bad))
+    for algorithm in (["x"], 1, None):
+        bad.write_bytes(with_header(json.dumps(dict(header, algorithm=algorithm))))
+        with pytest.raises(InvalidInput, match="algorithm .* is not a string"):
+            load_model(str(bad))
 
 
 def test_permutation_equivariance(rbf):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,9 +22,12 @@ from covmin import (
     synth_generate,
     transform,
 )
+from covmin import fastpath
+from covmin.dcm import _fit_factor
 from covmin.errors import RankDeficient
 from covmin.evaluate import _split_stream
 from covmin.kernels import center_gram, gram
+from covmin.linalg import ridge_inverse
 
 
 def test_sample_landmarks_contract():
@@ -48,13 +53,17 @@ def test_sample_landmarks_rejects_seeds_outside_uint64(seed, rbf, small_data):
         fit_fastdcm(small_data, rbf, 1e-3, 2, 5, seed)
 
 
-def _assert_blocks_match(sk, oracle, atol=1e-12):
-    """Input blocks against the oracle's, and F F^T of the output and
-    domain factors against its jittered Nystrom kernels; atol bounds the
-    kernels' rounding, which grows with the landmark blocks' condition."""
-    npt.assert_array_equal(sk.Wx, oracle["Wx"])
-    npt.assert_allclose(sk.Sxx, oracle["Sxx"], rtol=0, atol=1e-12)
-    for name, F in (("Ky", sk.Fy), ("Kd", sk.Fd)):
+def _assert_blocks_match(sk, data, idx, oracle, spec_y=None, spec_d=None, atol=1e-12):
+    """The sketch's input blocks against the oracle's: Wt_x is the inverse
+    of its landmark block Wx jittered by 1e-10, and Cx^T Cx is its Sxx.
+    Then F F^T of the output and domain factors (_side_factor) against its
+    jittered Nystrom kernels; atol bounds the kernels' rounding, which
+    grows with the landmark blocks' condition. spec_y and spec_d default
+    to delta."""
+    npt.assert_array_equal(sk.Wt_x, ridge_inverse(oracle["Wx"], 1e-10))
+    npt.assert_allclose(sk.Cx.T @ sk.Cx, oracle["Sxx"], rtol=0, atol=1e-12)
+    for name, spec, values in (("Ky", spec_y, data.y), ("Kd", spec_d, data.d)):
+        F = fastpath._side_factor(spec or KernelSpec("delta"), values, idx)
         npt.assert_allclose(F @ F.T, oracle[name], rtol=0, atol=atol, err_msg=name)
 
 
@@ -63,16 +72,15 @@ def test_build_sketch_small_blocks(rbf, small_data):
     idx = sample_landmarks(N, 8, 2)
     sk = build_sketch(small_data, rbf, idx)
     # default delta label and domain kernels, against H cross_gram blocks
-    _assert_blocks_match(sk, sketch_blocks(small_data, idx, rbf))
-    npt.assert_allclose(sk.Sxx, sk.Cx.T @ sk.Cx, atol=1e-12)
+    _assert_blocks_match(sk, small_data, idx, sketch_blocks(small_data, idx, rbf))
     # column centering is exact
     npt.assert_allclose(sk.Cx.sum(axis=0), np.zeros(8), atol=1e-9)
     # RBF output and domain kernels; their landmark blocks have condition
     # numbers up to 4e4, so the kernels agree to about 1e-12
     for seed in range(3):
         sk, data, idx = _well_conditioned_sketch(seed)
-        _assert_blocks_match(sk, sketch_blocks(data, idx, *_WELL_CONDITIONED_SPECS),
-                             atol=1e-11)
+        _assert_blocks_match(sk, data, idx, sketch_blocks(data, idx, *_WELL_CONDITIONED_SPECS),
+                             *_WELL_CONDITIONED_SPECS[1:], atol=1e-11)
     for bad in ([1, 1, 2], [0, N], [N - 1, -1], [0, -1], [0.5, 1.7], [], [[0, 1]]):
         with pytest.raises(InvalidInput):
             build_sketch(small_data, rbf, bad)
@@ -100,7 +108,7 @@ def test_sketch_full_sampling_reconstructs_gram(rbf):
     err = np.linalg.norm(Kc - rebuilt, "fro") / np.linalg.norm(Kc, "fro")
     assert err <= 1e-6
     # approximated row means match the dense ones at full sampling
-    npt.assert_allclose(sk.approx_row_means, gram(rbf, data.X).mean(axis=1), atol=1e-6)
+    npt.assert_allclose(sk.row_means, gram(rbf, data.X).mean(axis=1), atol=1e-6)
 
 
 #: input, output and domain kernels of _well_conditioned_sketch
@@ -109,25 +117,29 @@ _WELL_CONDITIONED_SPECS = (KernelSpec("rbf", 0.7), KernelSpec("rbf", 0.4),
 
 
 def _well_conditioned_sketch(seed, N=40, M=3):
-    """Sketch with RBF kernels on all three variables, so every landmark
-    block is invertible without leaning on the jitter."""
+    """Sketch of data meant for RBF kernels on all three variables
+    (_WELL_CONDITIONED_SPECS), so every landmark block is invertible
+    without leaning on the jitter."""
     rng = np.random.default_rng(seed)
     data = DataSet(
         X=rng.standard_normal((N, 3)),
         y=rng.standard_normal(N),
         d=rng.standard_normal(N),
     )
-    spec_x, spec_y, spec_d = _WELL_CONDITIONED_SPECS
     idx = sample_landmarks(N, M, seed)
-    return build_sketch(data, spec_x, idx, spec_y=spec_y, spec_d=spec_d), data, idx
+    return build_sketch(data, _WELL_CONDITIONED_SPECS[0], idx), data, idx
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compute_omega_transcription_oracle(seed):
     """U = Cx omega is orthonormal and U diag(values) U^T is the centered
-    approximated input Gram Cx Wt_x Cx^T, values descending."""
+    approximated input Gram Cx Wt_x Cx^T, values descending, all 3 of
+    them positive; build_sketch keeps them."""
     sk, _, _ = _well_conditioned_sketch(seed)
-    values, omega = compute_omega(sk, 3)
+    values, omega = compute_omega(sk.Cx.T @ sk.Cx, sk.Wt_x)
+    npt.assert_array_equal(values, sk.values)
+    npt.assert_array_equal(omega, sk.omega)
+    assert len(values) == 3
     U = sk.Cx @ omega
     npt.assert_allclose(U.T @ U, np.eye(len(values)), atol=1e-12)
     approx = sk.Cx @ sk.Wt_x @ sk.Cx.T
@@ -136,18 +148,23 @@ def test_compute_omega_transcription_oracle(seed):
 
 
 def _hand_sketch(Cx):
-    """A sketch with unit landmark blocks around a given input block."""
+    """A sketch with a unit inverse landmark block around a given input
+    block."""
     N, M = Cx.shape
-    return NystromSketch(
-        landmark_indices=np.arange(M), Cx=Cx, Wx=np.eye(M), Wt_x=np.eye(M),
-        jitter_x=0.0, Sxx=Cx.T @ Cx, Fy=np.zeros((N, 1)), Fd=np.zeros((N, 1)),
-        approx_row_means=np.zeros(N),
-    )
+    values, omega = compute_omega(Cx.T @ Cx, np.eye(M))
+    return NystromSketch(spec=KernelSpec("rbf", 1.0), Cx=Cx, Wt_x=np.eye(M),
+                         values=values, omega=omega, row_means=np.zeros(N))
 
 
-def test_compute_omega_zero_blocks():
-    with pytest.raises(RankDeficient):
-        compute_omega(_hand_sketch(np.zeros((6, 3))), 1)
+def test_compute_omega_zero_blocks(rbf):
+    """A zero input block has rank 0: no pairs, and a fit on identical rows,
+    whose centered block is exactly zero, raises RankDeficient."""
+    values, omega = compute_omega(np.zeros((3, 3)), np.eye(3))
+    assert values.shape == (0,) and omega.shape == (3, 0)
+    data = DataSet(X=np.ones((6, 2)), y=np.tile([1.0, -1.0], 3), d=np.repeat([1, 2], 3))
+    for fit in (fit_fastdcm, fit_fastcoir):
+        with pytest.raises(RankDeficient):
+            fit(data, rbf, 1e-3, 1, 3, 0)
 
 
 def test_omega_zero_domain_equals_constant_domain(rbf):
@@ -165,7 +182,8 @@ def test_fast_eig_identity_case():
     M, N = 4, 9
     Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((N, M)))
     sk = _hand_sketch(Q)
-    vals, omega = compute_omega(sk, M)
+    vals, omega = sk.values, sk.omega
+    assert len(vals) == M
     npt.assert_allclose(vals, np.ones(M), atol=1e-12)
     U = sk.Cx @ omega
     assert U.shape == (N, M)
@@ -175,13 +193,16 @@ def test_fast_eig_identity_case():
 def test_fast_eig_rank_one_sketch():
     u = np.arange(1.0, 8.0)[:, None]
     sk = _hand_sketch(u @ np.array([[1.0, -1.0, 2.0]]))
-    vals, omega = compute_omega(sk, 1)
+    vals, omega = sk.values, sk.omega
     assert omega.shape == (3, 1)
     # Cx Cx^T = u v v^T u^T: one direction u / |u|, value |u|^2 |v|^2
     npt.assert_allclose(np.abs(sk.Cx @ omega)[:, 0], u[:, 0] / np.linalg.norm(u))
     npt.assert_allclose(vals, [140.0 * 6.0])
+    # the fit tail asks for m = 2 directions of the rank-one sketch
+    data = DataSet(X=u, y=np.tile([1.0, -1.0], 4)[:7], d=np.ones(7, dtype=np.int64))
+    side = functools.partial(fastpath._side_factor, idx=np.arange(3))
     with pytest.raises(RankDeficient):
-        compute_omega(sk, 2)
+        _fit_factor("fastdcm", data, sk, side, None, None, False, 1e-3, 2)
 
 
 @pytest.mark.parametrize("fit", [fit_fastdcm, fit_fastcoir])
@@ -239,6 +260,24 @@ def test_fit_fast_validation(rbf, small_data):
         fit_fastdcm(small_data, rbf, 1e-3, 6, 5, 0)
     with pytest.raises(InvalidInput):
         fit_fastdcm(small_data, rbf, 1e-3, 2, len(small_data) + 1, 0)
+
+
+@pytest.mark.parametrize("fit, calls", [(fit_fastdcm, 2), (fit_fastcoir, 1)])
+def test_fast_fits_build_only_the_side_factors_they_read(fit, calls, rbf, small_data,
+                                                         monkeypatch):
+    """fastdcm builds the output and domain factors; fastcoir, which drops
+    the domain term, builds only the output factor."""
+    seen = []
+    real = fastpath._side_factor
+
+    def counting(spec, values, idx):
+        seen.append(values)
+        return real(spec, values, idx)
+
+    monkeypatch.setattr(fastpath, "_side_factor", counting)
+    fit(small_data, rbf, 1e-3, 2, 10, 0)
+    assert len(seen) == calls
+    assert seen[0] is small_data.y
 
 
 def test_fit_fast_rank_deficient_raises(rbf):

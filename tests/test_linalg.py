@@ -36,6 +36,20 @@ def test_sym_eig_rejects_asymmetric():
         sym_eig(np.ones((2, 3)))
 
 
+def test_sym_eig_keeps_an_exactly_symmetric_input():
+    """An exactly symmetric matrix is used as given, an asymmetric one
+    within tolerance is averaged with its transpose, and an empty one has
+    no pairs."""
+    S = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert linalg._require_symmetric(S) is S
+    A = S.copy()
+    A[0, 1] += 1e-12
+    npt.assert_array_equal(linalg._require_symmetric(A), 0.5 * (A + A.T))
+    for tol in (None, 1e-10):
+        pairs = sym_eig(np.zeros((0, 0)), tol=tol)
+        assert pairs.values.shape == (0,) and pairs.vectors.shape == (0, 0)
+
+
 def test_gen_eig_simple_pencils():
     pairs = gen_eig(2.0 * np.eye(3), np.eye(3), 1)
     assert pairs.values[0] == pytest.approx(2.0, abs=1e-12)

@@ -35,10 +35,12 @@ from covmin import (
     fit_fastdcm,
     kernel_factor,
     linalg,
+    ridge_inverse,
     transform,
 )
 from covmin.dcm import _centered_factor, build_operator_pair
 from covmin.evaluate import _ridge_dual
+from covmin.fastpath import _side_factor
 from covmin.kernels import _BLOCK, center_gram, gram
 
 RBF = KernelSpec("rbf", 0.5)
@@ -185,14 +187,16 @@ def sketch_problems(draw):
 @SETTINGS
 @given(sketch_problems())
 def test_sketch_blocks_equal_the_landmark_column_blocks(problem):
-    """The input blocks, and F F^T of the delta output and domain factors
+    """The input blocks (Wt_x the inverse of the landmark block jittered by
+    1e-10, Cx^T Cx), and F F^T of the delta output and domain factors
     against the jittered Nystrom kernels of their landmark columns."""
     data, idx = problem
     sk = build_sketch(data, RBF, idx)
     oracle = sketch_blocks(data, idx, RBF)
-    npt.assert_array_equal(sk.Wx, oracle["Wx"])
-    npt.assert_allclose(sk.Sxx, oracle["Sxx"], rtol=0, atol=1e-12)
-    for name, F in (("Ky", sk.Fy), ("Kd", sk.Fd)):
+    npt.assert_array_equal(sk.Wt_x, ridge_inverse(oracle["Wx"], 1e-10))
+    npt.assert_allclose(sk.Cx.T @ sk.Cx, oracle["Sxx"], rtol=0, atol=1e-12)
+    for name, values in (("Ky", data.y), ("Kd", data.d)):
+        F = _side_factor(KernelSpec("delta"), values, idx)
         npt.assert_allclose(F @ F.T, oracle[name], rtol=0, atol=1e-12, err_msg=name)
 
 
