@@ -189,40 +189,45 @@ def load_csv(path: str, feature_cols, label_col: str, domain_col: str) -> DataSe
     Header names are matched after stripping surrounding whitespace, and
     a name that occurs twice raises SchemaError; feature_cols None takes
     every column except the label and domain columns, in header order.
-    Labels are parsed as floats, discrete or continuous alike. Unparsable
-    numerics and rows too short for the named columns raise with the
-    1-based line number.
+    Labels are parsed as floats, discrete or continuous alike. The file
+    is read as UTF-8; other bytes raise naming the file. Unparsable
+    numerics, rows too short for the named columns and rows longer than
+    the header raise with the 1-based line number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInput(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        duplicated = sorted({c for c in header if header.count(c) > 1})
-        if duplicated:
-            raise SchemaError(f"{path}: duplicate columns {duplicated}")
-        if feature_cols is None:
-            feature_cols = [c for c in header if c not in (label_col, domain_col)]
-        missing = [c for c in list(feature_cols) + [label_col, domain_col] if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {missing}")
-        fidx = [header.index(c) for c in feature_cols]
-        yidx = header.index(label_col)
-        didx = header.index(domain_col)
-        width = max(fidx + [yidx, didx]) + 1
-        rows_X, rows_y, rows_d = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < width:
-                raise InvalidInput(
-                    f"line {lineno}: {len(row)} fields, header has {len(header)}"
-                )
-            rows_X.append([_parse_float(row[j], lineno, header[j]) for j in fidx])
-            rows_y.append(_parse_float(row[yidx], lineno, label_col))
-            rows_d.append(row[didx].strip())
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InvalidInput(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            duplicated = sorted({c for c in header if header.count(c) > 1})
+            if duplicated:
+                raise SchemaError(f"{path}: duplicate columns {duplicated}")
+            if feature_cols is None:
+                feature_cols = [c for c in header if c not in (label_col, domain_col)]
+            missing = [c for c in list(feature_cols) + [label_col, domain_col]
+                       if c not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            fidx = [header.index(c) for c in feature_cols]
+            yidx = header.index(label_col)
+            didx = header.index(domain_col)
+            width = max(fidx + [yidx, didx]) + 1
+            rows_X, rows_y, rows_d = [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if not width <= len(row) <= len(header):
+                    raise InvalidInput(
+                        f"line {lineno}: {len(row)} fields, header has {len(header)}"
+                    )
+                rows_X.append([_parse_float(row[j], lineno, header[j]) for j in fidx])
+                rows_y.append(_parse_float(row[yidx], lineno, label_col))
+                rows_d.append(row[didx].strip())
+    except UnicodeDecodeError:
+        raise InvalidInput(f"{path}: not UTF-8 text") from None
     if not rows_X:
         raise InvalidInput(f"{path}: no data rows")
     try:

@@ -39,6 +39,7 @@ from .kernels import (
     RBF,
     KernelSpec,
     _as_points,
+    _lift_rows,
     center_gram,
     cross_gram,
     gram,
@@ -61,8 +62,9 @@ class ProjectionModel:
     statistics). landmarks is None for dense fits.
 
     The first transform derives serving constants from these arrays and
-    keeps them (see _serving), so edit a model's arrays before that call,
-    not after.
+    keeps them (see _serving): the centered coefficients, their offset
+    and the N x (d + 2) lifted training rows. Edit a model's arrays,
+    train_X included, before that call; later edits are not served.
     """
 
     algorithm: str
@@ -79,16 +81,15 @@ class ProjectionModel:
 
     @functools.cached_property
     def _serving(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(beta, offset, train_sq_norms) for transform.
+        """(beta, offset, lifted_X) for transform.
 
         beta = H coef is the coefficients less their column means,
-        offset = beta^T row_means, and train_sq_norms are the squared norms
-        of the training rows. They are not serialized: a loaded model
-        derives the same values bit for bit.
+        offset = beta^T row_means, and lifted_X = [train_X, |x|^2, 1] are
+        the lifted training rows of kernels.rbf_cross_product. They are
+        not serialized: a loaded model derives the same values bit for bit.
         """
         beta = self.coefficients - self.coefficients.mean(axis=0)
-        return (beta, beta.T @ self.row_means,
-                np.einsum("ij,ij->i", self.train_X, self.train_X))
+        return beta, beta.T @ self.row_means, _lift_rows(self.train_X)
 
 
 def _check_input_kernel(spec_x) -> None:
@@ -210,6 +211,19 @@ def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
                         row_means=row_means)
 
 
+def _landmark_indices(landmarks, N: int) -> np.ndarray:
+    """landmarks as int64 indices, checked to be distinct and in [0, N);
+    landmark fits and load_model share this check."""
+    idx = np.asarray(landmarks)
+    if idx.ndim != 1 or len(idx) == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise InvalidInput("landmarks must be a non-empty 1-D array of integer indices")
+    if idx.min() < 0 or idx.max() >= N:
+        raise InvalidInput(f"landmark indices must lie in [0, {N})")
+    if len(np.unique(idx)) != len(idx):
+        raise InvalidInput("landmark indices must be distinct")
+    return idx.astype(np.int64)
+
+
 def _input_factor(data: DataSet, spec_x, m: int, factor: KernelFactor | None):
     """The input factor of data.X, built unless given."""
     N = data.X.shape[0]
@@ -324,8 +338,10 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
     blocks of training rows. Projecting the training inputs reproduces the
     coefficients applied to the centered training Gram.
 
-    Cost: O(N N_T d) time. Working memory beyond the m x N_T result is
-    O(B), B = kernels._BLOCK entries (2 MB), whatever N_T is.
+    Cost: one N x N_T x (d + 2) matrix product, in blocks, and three
+    elementwise passes over each block. Working memory beyond the m x N_T
+    result and the N_T x (d + 2) lifted queries is O(B), B =
+    kernels._BLOCK entries (2 MB), whatever N_T is.
     """
     Z = _as_points(Z)
     if Z.shape[1] != model.train_X.shape[1]:
@@ -335,8 +351,8 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
         )
     if not np.isfinite(Z).all():
         raise InvalidInput("query points must be finite")
-    beta, offset, train_sq_norms = model._serving
-    out = rbf_cross_product(model.spec_x.gamma, model.train_X, train_sq_norms, Z, beta)
+    beta, offset, lifted_X = model._serving
+    out = rbf_cross_product(model.spec_x.gamma, lifted_X, Z, beta)
     out -= offset[:, None]
     return out
 
@@ -403,7 +419,8 @@ def _parse_header(blob: bytes, path: str) -> dict:
 
 def load_model(path: str) -> ProjectionModel:
     """Inverse of save_model; validates magic, version and, before any
-    array is decoded, that the payload length matches the header."""
+    array is decoded, that the payload length matches the header. Float
+    blocks must be finite and landmark indices distinct in [0, n_train)."""
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise InvalidInput(f"{path}: not a projection model file")
@@ -433,6 +450,15 @@ def load_model(path: str) -> ProjectionModel:
             landmarks = np.frombuffer(
                 fh.read(8 * header["n_landmarks"]), dtype="<i8"
             ).copy()
+    for name, arr in (("coefficients", coef), ("eigenvalues", eigenvalues),
+                      ("row_means", row_means), ("train_X", train_X)):
+        if not np.isfinite(arr).all():
+            raise InvalidInput(f"{path}: model {name} are not all finite")
+    if landmarks is not None:
+        try:
+            landmarks = _landmark_indices(landmarks, N)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: {exc}") from None
     gamma = header["kernel_gamma"]
     spec = KernelSpec(header["kernel_kind"], gamma)
     return ProjectionModel(

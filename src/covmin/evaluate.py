@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import dcm, fastpath
 from .datagen import SynthConfig, split_domains, synth_generate
@@ -143,6 +142,22 @@ def metric_gmean(tp: int, fn: int, tn: int, fp: int) -> float:
     return float(np.sqrt(sens * spec))
 
 
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of s, tied values sharing the mean rank of their
+    group; all NaN when any value is NaN (scipy.stats.rankdata's
+    default)."""
+    if np.isnan(s).any():
+        return np.full(s.shape, np.nan)
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    # group g holds ranks starts[g] + 1 .. ends[g]
+    ranks[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return ranks
+
+
 def metric_auc(scores, labels) -> float:
     """Rank-based area under the ROC curve; ties contribute one half."""
     s = np.asarray(scores, dtype=float).ravel()
@@ -154,7 +169,7 @@ def metric_auc(scores, labels) -> float:
     n_neg = int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("auc needs both classes present")
-    ranks = rankdata(s)
+    ranks = _average_ranks(s)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .datagen import DataSet
-from .dcm import ProjectionModel, _check_input_kernel, _fit_factor
+from .dcm import ProjectionModel, _check_input_kernel, _fit_factor, _landmark_indices
 from .errors import InvalidInput
 from .kernels import DELTA, KernelSpec, cross_gram
 from .linalg import ridge_inverse, sym_eig
@@ -79,17 +79,6 @@ def sample_landmarks(N: int, M: int, seed: int) -> np.ndarray:
         raise InvalidInput(f"seed must be an integer in [0, 2**64), got {seed!r}")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     return rng.permutation(N)[:M]
-
-
-def _landmark_indices(landmarks, N: int) -> np.ndarray:
-    idx = np.asarray(landmarks)
-    if idx.ndim != 1 or len(idx) == 0 or not np.issubdtype(idx.dtype, np.integer):
-        raise InvalidInput("landmarks must be a non-empty 1-D array of integer indices")
-    if idx.min() < 0 or idx.max() >= N:
-        raise InvalidInput(f"landmark indices must lie in [0, {N})")
-    if len(np.unique(idx)) != len(idx):
-        raise InvalidInput("landmark indices must be distinct")
-    return idx.astype(np.int64)
 
 
 def _side_factor(spec: KernelSpec, values, idx: np.ndarray) -> np.ndarray:

@@ -8,8 +8,14 @@ never forms those centered columns: centering is linear, so
 coef^T H (K(X, Z) - mu 1^T) = beta^T K(X, Z) - (beta^T mu) 1^T with
 beta = H coef, and rbf_cross_product evaluates beta^T K(X, Z) block by
 block. The training row means mu still come from the training Gram alone.
-gram, cross_gram and each such block turn X Z^T into K(X, Z) in place
-(_rbf_block); _delta is the one indicator behind every delta kernel.
+
+There is one RBF evaluator, _rbf_block, behind gram, cross_gram and every
+rbf_cross_product block. Rows are lifted to [x, |x|^2, 1] (_lift_rows) and
+columns to [-2z, 1, |z|^2] (_lift_columns), so one matrix product gives
+||x - z||^2, and the block takes three in-place passes after it: clamp
+at 0, scale by -gamma, exp. gamma stays out of the product, so identical
+1-D values give a distance of exactly 0 and a kernel entry of exactly 1.
+_delta is the one indicator behind every delta kernel.
 """
 from __future__ import annotations
 
@@ -31,7 +37,8 @@ _BLOCK = 2 ** 18
 class KernelSpec:
     """Kernel family plus its width parameter.
 
-    kind is "rbf" (k(a,b) = exp(-gamma * ||a-b||^2), gamma = 1/(2 sigma^2))
+    kind is "rbf" (k(a,b) = exp(-gamma * ||a-b||^2), gamma = 1/(2 sigma^2),
+    finite and positive)
     or "delta" (k(a,b) = 1 if a == b else 0). gamma is ignored for delta.
     """
 
@@ -42,8 +49,8 @@ class KernelSpec:
         if self.kind not in (RBF, DELTA):
             raise InvalidInput(f"unknown kernel kind: {self.kind!r}")
         if self.kind == RBF:
-            if not isinstance(self.gamma, numbers.Real) or not self.gamma > 0:
-                raise InvalidInput("rbf kernel requires gamma > 0")
+            if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
+                raise InvalidInput("rbf kernel requires a finite gamma > 0")
 
 
 def median_gamma(values) -> float:
@@ -62,15 +69,51 @@ def median_gamma(values) -> float:
     return 1.0 / (2.0 * med * med)
 
 
-def _rbf_block(G, gamma: float, x_sq_norms, z_sq_norms) -> np.ndarray:
-    """K(X, Z), computed in G = X Z^T from the rows' squared norms."""
-    G *= -2.0
-    G += x_sq_norms[:, None]
-    G += z_sq_norms
-    np.maximum(G, 0.0, out=G)
-    G *= -gamma
-    np.exp(G, out=G)
-    return G
+def _lift_rows(X: np.ndarray) -> np.ndarray:
+    """[X, |x|^2, 1], N x (d + 2): the rows of a distance product."""
+    n, d = X.shape
+    L = np.empty((n, d + 2))
+    L[:, :d] = X
+    L[:, d] = np.einsum("ij,ij->i", X, X)
+    L[:, d + 1] = 1.0
+    return L
+
+
+def _lift_columns(Z: np.ndarray) -> np.ndarray:
+    """[-2Z, 1, |z|^2], N_T x (d + 2): _lift_rows(X) @ _lift_columns(Z).T
+    is the matrix of squared distances ||x - z||^2."""
+    n, d = Z.shape
+    L = np.empty((n, d + 2))
+    np.multiply(Z, -2.0, out=L[:, :d])
+    L[:, d] = 1.0
+    L[:, d + 1] = np.einsum("ij,ij->i", Z, Z)
+    return L
+
+
+def _rbf_block(gamma: float, Xl: np.ndarray, Zl: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K(X, Z) in out, from the lifted rows Xl of X and lifted columns Zl
+    of Z: one GEMM writes ||x - z||^2 into out, which is then clamped at
+    0 (rounding can leave it slightly negative), scaled by -gamma and
+    exponentiated in place."""
+    np.matmul(Xl, Zl.T, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= -gamma
+    np.exp(out, out=out)
+    return out
+
+
+def _rows_per_block(n_cols: int) -> int:
+    """Rows of a block of at most _BLOCK entries (one row at least)."""
+    return max(1, _BLOCK // max(n_cols, 1))
+
+
+def _rbf_into(K: np.ndarray, gamma: float, X: np.ndarray, Zl: np.ndarray) -> np.ndarray:
+    """K(X, Z) written into K, X lifted one strip of rows at a time so
+    that no lifted copy of all of X exists beside the output."""
+    step = _rows_per_block(K.shape[1])
+    for lo in range(0, len(X), step):
+        _rbf_block(gamma, _lift_rows(X[lo:lo + step]), Zl, K[lo:lo + step])
+    return K
 
 
 def _delta(a, b) -> np.ndarray:
@@ -94,16 +137,16 @@ def gram(spec: KernelSpec, items) -> np.ndarray:
     """Dense Gram matrix K[i, j] = k(items[i], items[j]).
 
     RBF and delta Grams both carry a unit diagonal, enforced exactly. The
-    RBF Gram is made exactly symmetric in place, (K + K^T) / 2 over strips
-    of at most _BLOCK entries, so it needs no second N x N array.
+    RBF Gram is evaluated into its output in strips of at most _BLOCK
+    entries, then made exactly symmetric in place, (K + K^T) / 2 over
+    strips of the same size, so it needs no second N x N array.
     """
     if spec.kind == DELTA:
         return _delta(items, items)
     X = _as_points(items)
-    sx = np.einsum("ij,ij->i", X, X)
-    K = _rbf_block(X @ X.T, spec.gamma, sx, sx)
-    n = len(K)
-    step = max(1, _BLOCK // max(n, 1))
+    n = len(X)
+    K = _rbf_into(np.empty((n, n)), spec.gamma, X, _lift_columns(X))
+    step = _rows_per_block(n)
     for lo in range(0, n, step):
         hi = lo + step
         # the strip K[lo:hi, lo:] and its mirror K[lo:, lo:hi]; earlier
@@ -127,26 +170,26 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         raise InvalidInput(
             f"feature dimension mismatch: {Xp.shape[1]} vs {Zp.shape[1]}"
         )
-    return _rbf_block(Xp @ Zp.T, spec.gamma, np.einsum("ij,ij->i", Xp, Xp),
-                      np.einsum("ij,ij->i", Zp, Zp))
+    return _rbf_into(np.empty((len(Xp), len(Zp))), spec.gamma, Xp, _lift_columns(Zp))
 
 
-def rbf_cross_product(gamma: float, X: np.ndarray, x_sq_norms: np.ndarray,
-                      Z: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """weights^T K(X, Z) for the RBF kernel, shape m x N_T.
+def rbf_cross_product(gamma: float, Xl: np.ndarray, Z: np.ndarray,
+                      weights: np.ndarray) -> np.ndarray:
+    """weights^T K(X, Z) for the RBF kernel, shape m x N_T, given the
+    lifted training rows Xl = _lift_rows(X), which the caller keeps.
 
-    K is never formed: rows of X are taken max(1, _BLOCK // N_T) at a
-    time, so at most _BLOCK kernel entries exist at once whatever N_T is.
-    x_sq_norms are the squared row norms of X, which the caller keeps.
+    K is never formed: rows of Xl are taken max(1, _BLOCK // N_T) at a
+    time into one reused block, so at most _BLOCK kernel entries exist at
+    once whatever N_T is.
     """
-    sz = np.einsum("ij,ij->i", Z, Z)
-    n_test = Z.shape[0]
+    Zl = _lift_columns(Z)
+    n_train, n_test = len(Xl), len(Z)
     out = np.zeros((weights.shape[1], n_test))
-    step = max(1, _BLOCK // max(n_test, 1))
-    for lo in range(0, X.shape[0], step):
-        hi = lo + step
-        G = _rbf_block(X[lo:hi] @ Z.T, gamma, x_sq_norms[lo:hi], sz)
-        out += weights[lo:hi].T @ G
+    step = _rows_per_block(n_test)
+    G = np.empty((min(step, n_train), n_test))
+    for lo in range(0, n_train, step):
+        hi = min(lo + step, n_train)
+        out += weights[lo:hi].T @ _rbf_block(gamma, Xl[lo:hi], Zl, G[:hi - lo])
     return out
 
 

@@ -211,6 +211,21 @@ def test_load_csv_errors(tmp_path):
                 load_csv(str(path), cols, "y", "d")
 
 
+def test_load_csv_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    for text in ("a,y,d\n1,1,caf\xe9\n", "a,y,\xe9\n1,1,1\n"):
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(InvalidInput, match=r"latin1\.csv: not UTF-8"):
+            load_csv(str(path), ["a"], "y", "d")
+
+
+def test_load_csv_rejects_rows_longer_than_the_header(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("a,y,d\n1,1,1\n2,1,1,9\n")
+    with pytest.raises(InvalidInput, match="line 3: 4 fields, header has 3"):
+        load_csv(str(path), ["a"], "y", "d")
+
+
 def test_dataset_validation():
     with pytest.raises(InvalidInput):
         DataSet(X=np.ones((3, 2)), y=np.ones(2), d=np.ones(3))

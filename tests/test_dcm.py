@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +18,7 @@ from covmin import (
     InvalidInput,
     KernelFactor,
     KernelSpec,
+    ProjectionModel,
     SynthConfig,
     build_operator_pair,
     build_sketch,
@@ -284,6 +286,25 @@ def test_transform_matches_unfused_reference(kind, N, n_test, rbf):
     assert transform(model, Z[:0]).shape == (model.m, 0)
 
 
+def test_transform_working_memory_is_one_block():
+    # beyond its m x N_T result and the N_T x (d + 2) lifted queries,
+    # transform holds one block of _BLOCK kernel entries, where the
+    # N x N_T cross-Gram would take 160 MB
+    rng = np.random.default_rng(0)
+    N, d, m, n_test = 20000, 10, 5, 1000
+    model = ProjectionModel("dcm", rng.standard_normal((N, m)), np.ones(m),
+                            rng.standard_normal((N, d)), KernelSpec("rbf", 0.5), rng.random(N))
+    Z = rng.standard_normal((n_test, d))
+    transform(model, Z[:1])  # derives the serving constants
+    tracemalloc.start()
+    try:
+        out = transform(model, Z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes - 8 * n_test * (d + 2) <= 1.1 * 8 * _BLOCK
+
+
 def test_transform_sees_edits_made_before_its_first_call(small_data, rbf):
     # the serving constants are derived on first use, so a model edited
     # between construction and serving is served as edited
@@ -480,6 +501,44 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
         bad.write_bytes(with_header(json.dumps(dict(header, algorithm=algorithm))))
         with pytest.raises(InvalidInput, match="algorithm .* is not a string"):
             load_model(str(bad))
+
+
+def test_load_model_rejects_corrupt_payloads(tmp_path, small_data, rbf):
+    import json
+    import struct
+
+    model = fit_fastdcm(small_data, rbf, 1e-3, 2, M=20, seed=0)
+    path = str(tmp_path / "m.bin")
+    save_model(model, path)
+    blob = bytes(open(path, "rb").read())
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    header = json.loads(blob[12:12 + hlen])
+    N, n, m = (header[k] for k in ("n_train", "n_features", "m"))
+    # byte offsets of the float blocks and of the landmark block
+    starts = {"coefficients": 0, "eigenvalues": N * m, "row_means": N * m + m,
+              "train_X": N * m + m + N}
+    payload = 12 + hlen
+    landmarks_at = payload + 8 * (N * m + m + N + N * n)
+    bad = tmp_path / "bad.bin"
+
+    def patched(offset, raw):
+        return blob[:offset] + raw + blob[offset + len(raw):]
+
+    for name, start in starts.items():
+        for value in (np.nan, np.inf):
+            bad.write_bytes(patched(payload + 8 * start + 8, struct.pack("<d", value)))
+            with pytest.raises(InvalidInput, match=f"{name} are not all finite"):
+                load_model(str(bad))
+    first = struct.unpack("<q", blob[landmarks_at:landmarks_at + 8])[0]
+    for index, match in ((-5, r"\[0, "), (N, r"\[0, "), (first, "distinct")):
+        bad.write_bytes(patched(landmarks_at + 8, struct.pack("<q", index)))
+        with pytest.raises(InvalidInput, match=match):
+            load_model(str(bad))
+    raw = json.dumps(dict(header, kernel_gamma=float("inf")), sort_keys=True).encode()
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[payload:])
+    with pytest.raises(InvalidInput, match="finite gamma"):
+        load_model(str(bad))
+    npt.assert_array_equal(load_model(path).landmarks, model.landmarks)
 
 
 def test_permutation_equivariance(rbf):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +24,7 @@ from covmin import (
     predict_labels,
     run_experiment,
 )
-from covmin.evaluate import gmean_from_labels
+from covmin.evaluate import _average_ranks, gmean_from_labels
 
 
 def test_rmse_values():
@@ -82,6 +85,29 @@ def test_auc_against_pair_count_oracle():
             continue
         assert metric_auc(scores, labels) == pytest.approx(
             _auc_pair_count(scores, labels), abs=1e-12)
+
+
+
+def test_average_ranks_match_rankdata():
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        s = rng.integers(0, int(rng.integers(1, 8)), n) * rng.choice([1.0, -0.3, 1e-300])
+        npt.assert_array_equal(_average_ranks(s), rankdata(s))
+
+
+def test_auc_of_a_nan_score_is_nan():
+    assert np.isnan(metric_auc([0.9, np.nan, 0.2, 0.1], [1, 1, -1, -1]))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats took most of the package's import time
+    src = os.path.dirname(os.path.dirname(covmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, covmin; assert 'scipy.stats' not in sys.modules, 'loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_predict_labels_boundary():

@@ -50,6 +50,12 @@ def test_gram_values():
     npt.assert_allclose(K, [[1.0, E1], [E1, 1.0]], rtol=0, atol=1e-15)
 
 
+def test_gram_of_identical_values_is_exactly_one():
+    # the lifted product gives a squared distance of exactly 0 between
+    # identical 1-D values, whatever gamma
+    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), np.full(7, 3.0)), np.ones((7, 7)))
+
+
 def test_gram_symmetric_unit_diagonal(rbf):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((17, 3))

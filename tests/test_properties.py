@@ -1,8 +1,10 @@
 """Property tests of the dense fit against the N x N oracle pencil, of the
 Lanczos solve of the reduced pencil against LAPACK on the assembled pencil,
 of the landmark sketch against its blocks as the formulas read, of the
-blocked transform against the unfused formula, and of the baseline's ridge
-solve in the input factor against the dense N x N solve.
+blocked transform against the unfused formula, of the RBF evaluator
+(gram, cross_gram, transform) against exp(-gamma ||x - z||^2) from
+explicit differences, and of the baseline's ridge solve in the input
+factor against the dense N x N solve.
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
@@ -30,6 +32,7 @@ from covmin import (
     KernelSpec,
     ProjectionModel,
     build_sketch,
+    cross_gram,
     fit_coir,
     fit_dcm,
     fit_fastdcm,
@@ -233,6 +236,54 @@ def test_blocked_transform_equals_the_unfused_formula(served):
     got = transform(model, Z)
     assert got.shape == (model.m, len(Z))
     npt.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max(initial=0.0)))
+
+
+@st.composite
+def point_sets(draw):
+    """Rows X and Z, random or translated far from the origin, and a gamma
+    that is not a power of two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 10.0, 100.0, 1000.0]))
+    X = rng.standard_normal((draw(st.integers(1, 60)), d)) + offset
+    Z = rng.standard_normal((draw(st.integers(0, 40)), d)) + offset
+    if draw(st.booleans()) and len(Z):  # some test rows repeat training rows
+        Z[: len(Z) // 2] = X[rng.integers(0, len(X), len(Z) // 2)]
+    return X, Z, draw(st.sampled_from([0.3, 0.7, 1.7]))
+
+
+def _direct_rbf(gamma, X, Z):
+    return np.exp(-gamma * ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2))
+
+
+def _evaluator_tol(gamma, X, Z):
+    # the product form rounds ||x||^2 + ||z||^2 - 2 x.z, so its error in
+    # the squared distance scales with the squared norms
+    sq = (X * X).sum(axis=1).max(initial=0.0) + (Z * Z).sum(axis=1).max(initial=0.0)
+    return 16 * np.finfo(float).eps * (gamma * sq + 1.0)
+
+
+@SETTINGS
+@given(point_sets())
+def test_evaluator_matches_the_direct_kernel(points):
+    X, Z, gamma = points
+    spec = KernelSpec("rbf", gamma)
+    tol = _evaluator_tol(gamma, X, Z)
+    npt.assert_allclose(cross_gram(spec, X, Z), _direct_rbf(gamma, X, Z), rtol=0, atol=tol)
+    K = gram(spec, X)
+    ref = _direct_rbf(gamma, X, X)
+    np.fill_diagonal(ref, 1.0)
+    npt.assert_allclose(K, ref, rtol=0, atol=_evaluator_tol(gamma, X, X))
+    npt.assert_array_equal(K, K.T)
+    rng = np.random.default_rng(len(X))
+    model = ProjectionModel(
+        algorithm="dcm", coefficients=rng.standard_normal((len(X), 2)),
+        eigenvalues=np.ones(2), train_X=X, spec_x=spec, row_means=rng.random(len(X)))
+    beta = model.coefficients - model.coefficients.mean(axis=0)
+    expected = beta.T @ (_direct_rbf(gamma, X, Z) - model.row_means[:, None])
+    scale = np.abs(beta).sum(axis=0).max()
+    npt.assert_allclose(transform(model, Z), expected, rtol=0,
+                        atol=(tol + 1e-14 * (1.0 + np.abs(model.row_means).max())) * scale)
 
 
 @SETTINGS
