@@ -80,8 +80,8 @@ class SynthConfig:
             raise InvalidInput("eta must be positive")
         if self.mean_count < 1:
             raise InvalidInput("mean_count must be at least 1")
-        if self.seed < 0:
-            raise InvalidInput("seed must be non-negative")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidInput(f"seed must lie in [0, 2**64), got {self.seed}")
         defaults = _default_weights(self.n)
         if self.b1 is None:
             self.b1 = defaults[0]

@@ -11,12 +11,17 @@ pencil, so its spectrum is real by construction. Both sides are a
 diagonal plus a low-rank term, rank c (output factor columns) on the left
 and T (domains) on the right; build_operator_pair returns the low-rank
 factors and linalg.lowrank_gen_eig finds the top m pairs from them.
-That eigenbasis is a KernelFactor (kernel_factor); fits on the same rows
-can share one through their factor= keyword. Every fit ends in one tail,
-_fit_factor: the rank check, the output and domain factors, the
-reduction and the solve. The landmark path runs it on the eigenbasis of
-its sketched input Gram (fastpath.NystromSketch, from
-fastpath.build_sketch) and its own output and domain factors.
+Every fit ends in one tail, _fit_factor, which takes an input factor and
+the output and domain kernel specs, nothing else. An input factor is the
+eigenbasis H K H = U diag(values) U^T of the centered input Gram K of the
+training rows, exact (KernelFactor, from kernel_factor; fits on the same
+rows share one through factor=) or landmark-approximated
+(fastpath.NystromSketch, from fastpath.build_sketch). It has values
+(descending), row_means (of the raw Gram, for transform), landmarks (None
+when exact), project(F) = U^T F, coefficients(w) = U diag(values)^-1/2 w,
+and side(spec, values): a factor F of the centered Gram of values under
+spec on the same approximation, exact (_centered_factor) or Nystrom on
+the same landmarks (fastpath._side_factor).
 
 Degenerations: zeroing the domain Gram gives inverse-regression behavior
 (coir); dropping supervision entirely reduces to kernel PCA (kpca).
@@ -86,9 +91,12 @@ class ProjectionModel:
         beta = H coef is the coefficients less their column means,
         offset = beta^T row_means, and lifted_X = [train_X, |x|^2, 1] are
         the lifted training rows of kernels.rbf_cross_product. They are
-        not serialized: a loaded model derives the same values bit for bit.
+        not serialized: a loaded model derives the same values bit for bit,
+        since both read the coefficients in C order (a kpca fit holds them
+        in Fortran order, which rounds the column means differently).
         """
-        beta = self.coefficients - self.coefficients.mean(axis=0)
+        coef = np.ascontiguousarray(self.coefficients)
+        beta = coef - coef.mean(axis=0)
         return beta, beta.T @ self.row_means, _lift_rows(self.train_X)
 
 
@@ -130,11 +138,9 @@ def build_operator_pair(factor, Fy: np.ndarray, Fd: np.ndarray | None, epsilon: 
 
       (Kx P_y Kx^2 + Kx^2) v = mu (Kx P_d Kx^2 + Kx^2 + N eps I) v.
 
-    factor is the input factor Kx = U diag(lam) U^T, U an orthonormal
-    N x r basis: a KernelFactor (dense, U explicit) or a
-    fastpath.NystromSketch (the sketched Gram, U = Cx omega implicit).
-    Only its values lam, its N row_means and factor.project(F) = U^T F
-    are used. The nonzero eigenvalues live on v = U diag(lam)^-1/2 w, and
+    factor is an input factor Kx = U diag(lam) U^T (module docstring), of
+    which only values lam, row_means and project(F) = U^T F are used.
+    The nonzero eigenvalues live on v = U diag(lam)^-1/2 w, and
 
       L = lam^3/2 Q_y lam^3/2 + lam^2,   R = lam^3/2 Q_d lam^3/2 + lam^2,
 
@@ -174,7 +180,8 @@ def _canonical_signs(coef: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KernelFactor:
-    """Eigenbasis of the centered input Gram of the rows X under spec:
+    """Exact input factor (module docstring), the eigenbasis of the
+    centered input Gram of the rows X under spec:
     H K H = vectors diag(values) vectors^T over the r eigenvalues above
     1e-12 * max(largest, 1) (linalg.sym_eig with tol), values descending.
     row_means are the row means of the raw Gram K; a fitted model keeps
@@ -186,6 +193,8 @@ class KernelFactor:
     vectors: np.ndarray
     values: np.ndarray
     row_means: np.ndarray
+    landmarks = None
+    side = staticmethod(_centered_factor)
 
     def project(self, F: np.ndarray) -> np.ndarray:
         """U^T F, U = vectors."""
@@ -244,7 +253,7 @@ def _require_rank(factor, m: int) -> None:
         )
 
 
-def _model(algorithm, coef, eigenvalues, X, factor, landmarks=None) -> ProjectionModel:
+def _model(algorithm, coef, eigenvalues, X, factor) -> ProjectionModel:
     return ProjectionModel(
         algorithm=algorithm,
         coefficients=_canonical_signs(coef),
@@ -252,30 +261,23 @@ def _model(algorithm, coef, eigenvalues, X, factor, landmarks=None) -> Projectio
         train_X=X.copy(),
         spec_x=factor.spec,
         row_means=factor.row_means.copy(),
-        landmarks=landmarks,
+        landmarks=factor.landmarks,
     )
 
 
-def _fit_factor(algorithm, data: DataSet, factor, side, spec_y, spec_d, zero_domain: bool,
-                epsilon, m, landmarks=None) -> ProjectionModel:
-    """The fit tail shared by the dense and landmark paths: the top m
-    pairs of the reduced pencil of factor (build_operator_pair), each
-    direction scaled to unit norm under the factor's centered Gram.
-
-    factor is the input factor of data.X, which must span at least m
-    directions. side(spec, values) builds the output and domain factors
-    on the same approximation: _centered_factor on the dense path, the
-    landmark Nystrom factor (fastpath._side_factor) on the landmark path.
-    spec_y and spec_d default to delta; zero_domain drops the domain term.
+def _fit_factor(algorithm, data: DataSet, factor, spec_y, spec_d, epsilon, m) -> ProjectionModel:
+    """The fit tail of both paths (module docstring): the top m pairs of
+    the reduced pencil of the input factor of data.X, which must span m
+    directions, each scaled to unit norm under its centered Gram. spec_y
+    defaults to delta; spec_d = None drops the domain term.
     """
     _require_rank(factor, m)
-    Fy = side(spec_y or KernelSpec(DELTA), data.y)
-    Fd = None if zero_domain else side(spec_d or KernelSpec(DELTA), data.d)
+    Fy = factor.side(spec_y or KernelSpec(DELTA), data.y)
+    Fd = None if spec_d is None else factor.side(spec_d, data.d)
     Yy, Yd = build_operator_pair(factor, Fy, Fd, epsilon)
     pairs = lowrank_gen_eig(factor.values * factor.values, Yy, Yd, m,
                             ridge=len(data) * epsilon)
-    return _model(algorithm, factor.coefficients(pairs.vectors), pairs.values, data.X,
-                  factor, landmarks)
+    return _model(algorithm, factor.coefficients(pairs.vectors), pairs.values, data.X, factor)
 
 
 def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -303,7 +305,7 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     domains. Memory O(N^2).
     """
     return _fit_factor("dcm", data, _input_factor(data, spec_x, m, factor),
-                       _centered_factor, spec_y, spec_d, False, epsilon, m)
+                       spec_y, spec_d or KernelSpec(DELTA), epsilon, m)
 
 
 def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -313,7 +315,7 @@ def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     right-hand operator is built from the input Gram alone. factor is
     used as in fit_dcm and never changes the result."""
     return _fit_factor("coir", data, _input_factor(data, spec_x, m, factor),
-                       _centered_factor, spec_y, None, True, epsilon, m)
+                       spec_y, None, epsilon, m)
 
 
 def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int, *,
@@ -349,8 +351,6 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
             f"feature dimension mismatch: model has {model.train_X.shape[1]}, "
             f"got {Z.shape[1]}"
         )
-    if not np.isfinite(Z).all():
-        raise InvalidInput("query points must be finite")
     beta, offset, lifted_X = model._serving
     out = rbf_cross_product(model.spec_x.gamma, lifted_X, Z, beta)
     out -= offset[:, None]

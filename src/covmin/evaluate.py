@@ -338,6 +338,9 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     for alg in cfg.algorithms:
         if alg not in ALGORITHMS:
             raise InvalidInput(f"unknown algorithm {alg!r}")
+    if not 0 <= cfg.seed <= 2**64 - cfg.reps:
+        raise InvalidInput(f"seeds {cfg.seed} to {cfg.seed + cfg.reps - 1} "
+                           "must lie in [0, 2**64)")
     seeds = [cfg.seed + r for r in range(cfg.reps)]
     per_rep = {alg: {} for alg in cfg.algorithms}
     timings = {alg: {"fit": 0.0, "predict": 0.0} for alg in cfg.algorithms}
@@ -349,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         domains = np.unique(data.d)
         order = _split_stream(seed).permutation(domains)
         train, test = split_domains(data, order[: cfg.train_domains])
-        factor = functools.cache(functools.partial(dcm.kernel_factor, spec_x, train.X))
+        factor = functools.cache(lambda: dcm.kernel_factor(spec_x, train.X))
         for alg in cfg.algorithms:
             try:
                 scores = _fit_and_score(alg, cfg, spec_x, train, test, factor, timings)

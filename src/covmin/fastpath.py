@@ -4,12 +4,10 @@ All three kernels are approximated through M uniformly sampled landmark
 columns C: the centered kernel is H C (W + jI)^-1 C^T H, with W = C[idx]
 the landmark block and j = _JITTER (Nystrom, Williams & Seeger 2001).
 The fit is the dense fit's pencil on these kernels, solved by the same
-tail (dcm._fit_factor): build_sketch returns the landmark input factor,
-a NystromSketch, as dcm.kernel_factor returns the dense one, and the
-output and domain kernels enter as factors F with F F^T the approximated
-kernel (_side_factor), as dcm._centered_factor builds them on the dense
-path. The sketch's eigenbasis U = Cx omega of the approximated input Gram
-is implicit (compute_omega), and the spectrum is real by construction.
+tail (dcm._fit_factor) on the landmark input factor that build_sketch
+returns, a NystromSketch (the factor protocol is in the dcm docstring).
+Its eigenbasis U = Cx omega of the approximated input Gram is implicit
+(compute_omega), and the spectrum is real by construction.
 When every training point is a landmark the approximation is exact and
 the dense solution is recovered.
 
@@ -20,7 +18,6 @@ for the delta label and domain sides, and its memory is one N x M block.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +37,15 @@ _RANK_TOL = 1e-10
 
 @dataclass
 class NystromSketch:
-    """Landmark input factor: the eigenbasis of the centered approximated
-    input Gram, Cx Wt_x Cx^T = U diag(values) U^T with U = Cx omega
-    orthonormal and never formed (compute_omega). It serves
-    dcm.build_operator_pair and dcm._fit_factor like a dense
-    dcm.KernelFactor.
+    """Landmark input factor (dcm module docstring): the eigenbasis of the
+    centered approximated input Gram, Cx Wt_x Cx^T = U diag(values) U^T
+    with U = Cx omega orthonormal and never formed (compute_omega).
 
     Cx is the column-centered input block H C_x (N x M), with H the
     centering matrix, and Wt_x = (C_x[idx] + _JITTER I)^-1 the regularized
     inverse of its raw landmark block. row_means are the row means of the
     raw approximated input kernel, used to center test columns at
-    projection time.
+    projection time. landmarks are the rows behind the columns of Cx.
     """
 
     spec: KernelSpec
@@ -59,6 +54,7 @@ class NystromSketch:
     values: np.ndarray
     omega: np.ndarray
     row_means: np.ndarray
+    landmarks: np.ndarray
 
     def project(self, F: np.ndarray) -> np.ndarray:
         """U^T F = omega^T (Cx^T F)."""
@@ -67,6 +63,10 @@ class NystromSketch:
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """v = U diag(values)^-1/2 w, which has v^T (Cx Wt_x Cx^T) v = w^T w."""
         return self.Cx @ (self.omega @ (w / np.sqrt(self.values)[:, None]))
+
+    def side(self, spec: KernelSpec, values) -> np.ndarray:
+        """The Nystrom factor of values on this sketch's landmarks."""
+        return _side_factor(spec, values, self.landmarks)
 
 
 def sample_landmarks(N: int, M: int, seed: int) -> np.ndarray:
@@ -121,7 +121,7 @@ def build_sketch(data: DataSet, spec_x: KernelSpec, landmarks) -> NystromSketch:
     Cx -= Cx.mean(axis=0)
     values, omega = compute_omega(Cx.T @ Cx, Wt_x)
     return NystromSketch(spec=spec_x, Cx=Cx, Wt_x=Wt_x, values=values, omega=omega,
-                         row_means=row_means)
+                         row_means=row_means, landmarks=idx)
 
 
 def compute_omega(Sxx: np.ndarray, Wt_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +142,12 @@ def compute_omega(Sxx: np.ndarray, Wt_x: np.ndarray) -> tuple[np.ndarray, np.nda
     return G.values, (pairs.vectors / root) @ G.vectors
 
 
-def _fit_fast(data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M, seed,
-              algorithm, zero_domain) -> ProjectionModel:
+def _fit_fast(algorithm, data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M,
+              seed) -> ProjectionModel:
     if not 1 <= m <= M:
         raise InvalidInput(f"m must be in [1, M={M}], got {m}")
-    idx = sample_landmarks(len(data), M, seed)
-    return _fit_factor(algorithm, data, build_sketch(data, spec_x, idx),
-                       functools.partial(_side_factor, idx=idx), spec_y, spec_d,
-                       zero_domain, epsilon, m, landmarks=idx)
+    sketch = build_sketch(data, spec_x, sample_landmarks(len(data), M, seed))
+    return _fit_factor(algorithm, data, sketch, spec_y, spec_d, epsilon, m)
 
 
 def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -173,8 +171,8 @@ def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     with centering statistics taken from the approximated training
     kernel (exact when M = N).
     """
-    return _fit_fast(data, spec_x, spec_y, spec_d, epsilon, m, M, seed,
-                     "fastdcm", zero_domain=False)
+    return _fit_fast("fastdcm", data, spec_x, spec_y, spec_d or KernelSpec(DELTA),
+                     epsilon, m, M, seed)
 
 
 def fit_fastcoir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -182,5 +180,4 @@ def fit_fastcoir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
                  spec_y: KernelSpec | None = None) -> ProjectionModel:
     """Landmark-approximated single-domain degeneration (the domain term
     of the pencil dropped, as in dcm.fit_coir)."""
-    return _fit_fast(data, spec_x, spec_y, None, epsilon, m, M, seed,
-                     "fastcoir", zero_domain=True)
+    return _fit_fast("fastcoir", data, spec_x, spec_y, None, epsilon, m, M, seed)

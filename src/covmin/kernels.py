@@ -15,6 +15,9 @@ columns to [-2z, 1, |z|^2] (_lift_columns), so one matrix product gives
 ||x - z||^2, and the block takes three in-place passes after it: clamp
 at 0, scale by -gamma, exp. gamma stays out of the product, so identical
 1-D values give a distance of exactly 0 and a kernel entry of exactly 1.
+Every lift checks that squared norms lie below _MAX_SQ_NORM, a quarter of
+the largest float, and raises InvalidInput otherwise (NaN and inf too), so
+no distance product overflows.
 _delta is the one indicator behind every delta kernel.
 """
 from __future__ import annotations
@@ -31,6 +34,10 @@ DELTA = "delta"
 
 #: kernel entries per block of rbf_cross_product (2**18 float64, 2 MB)
 _BLOCK = 2 ** 18
+
+#: bound on squared row norms: below it |x|^2 + 2|x||z| + |z|^2 is finite,
+#: so no partial sum of a distance product overflows
+_MAX_SQ_NORM = np.finfo(float).max / 4
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,21 @@ def median_gamma(values) -> float:
     return 1.0 / (2.0 * med * med)
 
 
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """|x|^2 for each row of X. Raises InvalidInput unless every one lies
+    below _MAX_SQ_NORM, which rejects NaN and infinite entries too."""
+    s = np.einsum("ij,ij->i", X, X)
+    if not (s < _MAX_SQ_NORM).all():
+        raise InvalidInput(f"points must be finite with squared norms below {_MAX_SQ_NORM:.4g}")
+    return s
+
+
 def _lift_rows(X: np.ndarray) -> np.ndarray:
     """[X, |x|^2, 1], N x (d + 2): the rows of a distance product."""
     n, d = X.shape
     L = np.empty((n, d + 2))
     L[:, :d] = X
-    L[:, d] = np.einsum("ij,ij->i", X, X)
+    L[:, d] = _sq_norms(X)
     L[:, d + 1] = 1.0
     return L
 
@@ -84,9 +100,9 @@ def _lift_columns(Z: np.ndarray) -> np.ndarray:
     is the matrix of squared distances ||x - z||^2."""
     n, d = Z.shape
     L = np.empty((n, d + 2))
+    L[:, d + 1] = _sq_norms(Z)  # first: it rejects a Z whose -2Z overflows
     np.multiply(Z, -2.0, out=L[:, :d])
     L[:, d] = 1.0
-    L[:, d + 1] = np.einsum("ij,ij->i", Z, Z)
     return L
 
 

@@ -234,6 +234,41 @@ def test_fit_rejects_a_negative_landmark_seed(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", str(2**64)],
+    ["eval", "--compare", "dcm", "--reps", "2", "--seed", str(2**64 - 1)],
+])
+def test_seeds_past_the_uint64_range_are_invalid_input(argv, tmp_path, capsys):
+    """A seed of 2**64 (or an eval whose second repetition reaches it) ended
+    in an OverflowError traceback from the uint64 Philox key."""
+    rc = main([*argv, "--output", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidInput" in err and "2**64" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fit_rejects_huge_features(tmp_path, capsys):
+    """A feature whose square overflows is InvalidInput, not a NaN model
+    with numpy warnings on stderr."""
+    path = _synth(tmp_path)
+    lines = open(path).read().splitlines()
+    first = lines[1].split(",")
+    first[0] = "1e160"
+    lines[1] = ",".join(first)
+    huge_csv = tmp_path / "huge.csv"
+    huge_csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["fit", "--input", str(huge_csv), "--output", str(tmp_path / "m.bin"),
+               "--gamma", "0.5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidInput" in err and "squared norms" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_fit_missing_input_file(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "m.bin"), "--gamma", "0.5"])

@@ -113,6 +113,13 @@ def test_synth_config_validation():
         SynthConfig(b1=np.ones(3))
 
 
+def test_synth_config_rejects_seeds_past_the_uint64_range():
+    """The Philox key holds the seed as a uint64; 2**64 raised OverflowError."""
+    SynthConfig(seed=2**64 - 1)
+    with pytest.raises(InvalidInput, match="seed"):
+        SynthConfig(seed=2**64)
+
+
 def test_split_domains():
     data = synth_generate(SynthConfig(T=5, mean_count=10, seed=1))
     train, test = split_domains(data, [1, 2, 3])

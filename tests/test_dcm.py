@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,7 @@ from covmin import (
     SynthConfig,
     build_operator_pair,
     build_sketch,
+    cross_gram,
     fit_coir,
     fit_dcm,
     fit_fastcoir,
@@ -36,7 +38,7 @@ from covmin import (
 )
 from covmin.dcm import _centered_factor
 from covmin.errors import RankDeficient
-from covmin.kernels import _BLOCK, center_gram, gram
+from covmin.kernels import _BLOCK, _MAX_SQ_NORM, center_gram, gram
 from covmin.linalg import sym_eig
 
 
@@ -419,6 +421,36 @@ def test_transform_validation(small_data, rbf):
         Z[1, 2] = bad
         with pytest.raises(InvalidInput, match="finite"):
             transform(model, Z)
+
+
+@pytest.mark.parametrize("huge", [1e160, 1e300, 1.7e308, np.nan])
+def test_huge_features_are_invalid_input(huge, small_data, rbf):
+    """A row whose squared norm overflows used to fit with numpy overflow
+    warnings and project to NaN; fits, kernels and transform reject it."""
+    model = fit_dcm(small_data, rbf, 1e-3, 2)
+    X = small_data.X.copy()
+    X[0, 0] = huge
+    calls = [lambda: gram(rbf, X), lambda: cross_gram(rbf, X, X[:2]),
+             lambda: cross_gram(rbf, small_data.X, X[:2]), lambda: transform(model, X[:3])]
+    if np.isfinite(huge):  # DataSet itself rejects a NaN row
+        data = DataSet(X=X, y=small_data.y, d=small_data.d)
+        calls += [lambda: fit_dcm(data, rbf, 1e-3, 2),
+                  lambda: fit_fastdcm(data, rbf, 1e-3, 2, 10, 0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidInput, match="finite with squared norms"):
+                call()
+
+
+def test_squared_norms_just_under_the_bound_evaluate_without_warnings():
+    """Below _MAX_SQ_NORM no partial sum of the distance product overflows."""
+    x = 0.99 * np.sqrt(_MAX_SQ_NORM)
+    X = np.array([[x], [-x], [0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = cross_gram(KernelSpec("rbf", 0.5), X, X)
+    npt.assert_array_equal(K, np.eye(3))
 
 
 def test_serialization_round_trip(tmp_path, small_data, rbf):

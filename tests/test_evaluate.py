@@ -24,6 +24,7 @@ from covmin import (
     predict_labels,
     run_experiment,
 )
+from covmin import evaluate
 from covmin.evaluate import _average_ranks, gmean_from_labels
 
 
@@ -191,6 +192,15 @@ def test_run_experiment_deterministic():
 def test_run_experiment_validates_algorithms():
     with pytest.raises(InvalidInput):
         run_experiment(_tiny_config(algorithms=("svm",)))
+
+
+def test_run_experiment_rejects_seeds_past_the_uint64_range(monkeypatch):
+    """The last repetition's seed must fit the uint64 Philox key, and the
+    check comes before any repetition generates data."""
+    monkeypatch.setattr(evaluate, "synth_generate", None)
+    for seed, reps in ((2**64 - 1, 2), (2**64 - 3, 4), (-1, 1)):
+        with pytest.raises(InvalidInput, match=r"2\*\*64"):
+            run_experiment(_tiny_config(seed=seed, reps=reps))
 
 
 def test_run_experiment_tags_failing_repetition(monkeypatch):

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -153,7 +151,8 @@ def _hand_sketch(Cx):
     N, M = Cx.shape
     values, omega = compute_omega(Cx.T @ Cx, np.eye(M))
     return NystromSketch(spec=KernelSpec("rbf", 1.0), Cx=Cx, Wt_x=np.eye(M),
-                         values=values, omega=omega, row_means=np.zeros(N))
+                         values=values, omega=omega, row_means=np.zeros(N),
+                         landmarks=np.arange(M))
 
 
 def test_compute_omega_zero_blocks(rbf):
@@ -200,9 +199,8 @@ def test_fast_eig_rank_one_sketch():
     npt.assert_allclose(vals, [140.0 * 6.0])
     # the fit tail asks for m = 2 directions of the rank-one sketch
     data = DataSet(X=u, y=np.tile([1.0, -1.0], 4)[:7], d=np.ones(7, dtype=np.int64))
-    side = functools.partial(fastpath._side_factor, idx=np.arange(3))
     with pytest.raises(RankDeficient):
-        _fit_factor("fastdcm", data, sk, side, None, None, False, 1e-3, 2)
+        _fit_factor("fastdcm", data, sk, None, None, 1e-3, 2)
 
 
 @pytest.mark.parametrize("fit", [fit_fastdcm, fit_fastcoir])

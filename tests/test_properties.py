@@ -3,8 +3,9 @@ Lanczos solve of the reduced pencil against LAPACK on the assembled pencil,
 of the landmark sketch against its blocks as the formulas read, of the
 blocked transform against the unfused formula, of the RBF evaluator
 (gram, cross_gram, transform) against exp(-gamma ||x - z||^2) from
-explicit differences, and of the baseline's ridge solve in the input
-factor against the dense N x N solve.
+explicit differences, of the baseline's ridge solve in the input factor
+against the dense N x N solve, and of save/load as the identity on
+models of every fitter.
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
@@ -12,6 +13,9 @@ fitted eigenpairs against solved_pencil, which assembles the pencil with
 explicit solves and never calls the package's solver. With every point a
 landmark, the fast fit must span the dense fit's subspace.
 """
+import os
+import tempfile
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -38,11 +42,13 @@ from covmin import (
     fit_fastdcm,
     kernel_factor,
     linalg,
+    load_model,
     ridge_inverse,
+    save_model,
     transform,
 )
 from covmin.dcm import _centered_factor, build_operator_pair
-from covmin.evaluate import _ridge_dual
+from covmin.evaluate import FITTERS, _ridge_dual
 from covmin.fastpath import _side_factor
 from covmin.kernels import _BLOCK, center_gram, gram
 
@@ -324,3 +330,34 @@ def test_rbf_output_factor_reproduces_the_centered_gram(seed, N, tied, log10_gam
     spec = KernelSpec("rbf", 10.0 ** log10_gamma)
     F = _centered_factor(spec, y)
     assert np.abs(F @ F.T - center_gram(gram(spec, y))).max() <= 1e-10
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@SETTINGS
+@given(problems(), st.sampled_from(sorted(FITTERS)), st.data())
+def test_save_load_is_the_identity(problem, algorithm, draw):
+    """save_model then load_model gives back every array bit for bit, the
+    algorithm, the input kernel and the landmarks; the loaded model
+    transforms bit-identically, and saving it again writes the same bytes."""
+    data, spec_y, epsilon = problem
+    params = SimpleNamespace(epsilon=epsilon, m=M, M=draw.draw(st.integers(M, len(data))),
+                             seed=draw.draw(st.integers(0, 2**64 - 1)))
+    model = FITTERS[algorithm](data, RBF, spec_y, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.bin"), os.path.join(tmp, "b.bin")
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert open(first, "rb").read() == open(second, "rb").read()
+    assert (loaded.algorithm, loaded.spec_x) == (model.algorithm, model.spec_x)
+    for name in ("coefficients", "eigenvalues", "row_means", "train_X"):
+        assert _same_bits(getattr(loaded, name), getattr(model, name)), name
+    if model.landmarks is None:
+        assert loaded.landmarks is None
+    else:
+        assert _same_bits(loaded.landmarks, model.landmarks)
+    Z = data.X[:5] + 0.25
+    assert _same_bits(transform(loaded, Z), transform(model, Z))
