@@ -340,10 +340,11 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
     blocks of training rows. Projecting the training inputs reproduces the
     coefficients applied to the centered training Gram.
 
-    Cost: one N x N_T x (d + 2) matrix product, in blocks, and three
-    elementwise passes over each block. Working memory beyond the m x N_T
-    result and the N_T x (d + 2) lifted queries is O(B), B =
-    kernels._BLOCK entries (2 MB), whatever N_T is.
+    Cost: one N x N_T x (d + 2) matrix product, in blocks, and two
+    elementwise passes over each block (three once gamma (d + 2) |z|^2
+    reaches kernels._UNCLAMPED_LIMIT for a query). Working memory beyond
+    the m x N_T result and the N_T x (d + 2) lifted queries is O(B), B =
+    kernels._BLOCK entries (512 KB), whatever N_T is.
     """
     Z = _as_points(Z)
     if Z.shape[1] != model.train_X.shape[1]:

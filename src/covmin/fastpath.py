@@ -134,11 +134,15 @@ def compute_omega(Sxx: np.ndarray, Wt_x: np.ndarray) -> tuple[np.ndarray, np.nda
     Cx V s^-1/2 is orthonormal and Cx = U0 s^1/2 V^T, so the Gram is
     U0 G U0^T with G = s^1/2 V^T Wt_x V s^1/2 = Wg diag(values) Wg^T,
     and omega = V s^-1/2 Wg. r may be 0; the fit checks it against m.
+    G is symmetrized before sym_eig: when two landmarks are the same row,
+    Wt_x has entries near 1 / _JITTER, and the rounding asymmetry of the
+    product exceeds sym_eig's tolerance.
     """
     pairs = sym_eig(Sxx, tol=_RANK_TOL)
     root = np.sqrt(pairs.values)
     B = pairs.vectors * root
-    G = sym_eig(B.T @ Wt_x @ B)
+    G = B.T @ Wt_x @ B
+    G = sym_eig(0.5 * (G + G.T))
     return G.values, (pairs.vectors / root) @ G.vectors
 
 

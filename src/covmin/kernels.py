@@ -12,9 +12,13 @@ block. The training row means mu still come from the training Gram alone.
 There is one RBF evaluator, _rbf_block, behind gram, cross_gram and every
 rbf_cross_product block. Rows are lifted to [x, |x|^2, 1] (_lift_rows) and
 columns to [-2z, 1, |z|^2] (_lift_columns), so one matrix product gives
-||x - z||^2, and the block takes three in-place passes after it: clamp
-at 0, scale by -gamma, exp. gamma stays out of the product, so identical
-1-D values give a distance of exactly 0 and a kernel entry of exactly 1.
+||x - z||^2, and the block takes two in-place passes after it: scale by
+-gamma, exp. gamma stays out of the product, so identical 1-D values give
+a distance of exactly 0 and a kernel entry of exactly 1. gram and
+cross_gram clamp their entries at 1 in a third pass, which gives exactly
+the entries of a distance clamped at 0, exp(-gamma max(d, 0)). Serving
+skips that pass while rounding cannot lift an entry measurably above 1
+(_UNCLAMPED_LIMIT).
 Every lift checks that squared norms lie below _MAX_SQ_NORM, a quarter of
 the largest float, and raises InvalidInput otherwise (NaN and inf too), so
 no distance product overflows.
@@ -22,6 +26,7 @@ _delta is the one indicator behind every delta kernel.
 """
 from __future__ import annotations
 
+import contextlib
 import numbers
 from dataclasses import dataclass
 
@@ -32,8 +37,25 @@ from .errors import InvalidInput
 RBF = "rbf"
 DELTA = "delta"
 
-#: kernel entries per block of rbf_cross_product (2**18 float64, 2 MB)
-_BLOCK = 2 ** 18
+#: kernel entries per reused block of rbf_cross_product (2**16 float64,
+#: 512 KB): a block, its GEMM operands and the weight strip stay in a 1 MB
+#: per-core L2. For 1000 queries against 700, 1600 and 32000 rows (BLAS on
+#: 1 thread, 2 MB L2), 2**17 took up to 2.3% longer, 2**15 about 8% and
+#: 2**18 (2 MB) 23-31%
+_BLOCK = 2 ** 16
+
+#: kernel entries per strip that gram and cross_gram fill in their output
+#: (2**18 float64, 2 MB). BLAS tiles a product by its row count, so the
+#: last bits of a kernel entry depend on the strip it is computed in:
+#: another size moves the bits of Grams and of every fit
+_STRIP = 2 ** 18
+
+#: bound on gamma (d + 2) max |z|^2 below which serving skips the clamp at
+#: 1. Where the lifted product rounds ||x - z||^2 below 0, its error is
+#: below (d + 1) eps (|x| + |z|)^2 (d + 2 products, lifted norms off by
+#: d eps / 2 relative), so |x| is within sqrt((d + 1) eps) of |z|, relative,
+#: and the error is below 4 (d + 2) eps |z|^2: no entry exceeds exp(2**-20)
+_UNCLAMPED_LIMIT = 2.0 ** -20 / (4 * np.finfo(float).eps)
 
 #: bound on squared row norms: below it |x|^2 + 2|x||z| + |z|^2 is finite,
 #: so no partial sum of a distance product overflows
@@ -76,13 +98,15 @@ def median_gamma(values) -> float:
     return 1.0 / (2.0 * med * med)
 
 
-def _sq_norms(X: np.ndarray) -> np.ndarray:
-    """|x|^2 for each row of X. Raises InvalidInput unless every one lies
-    below _MAX_SQ_NORM, which rejects NaN and infinite entries too."""
+def _sq_norms(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """|x|^2 for each row of X, and the largest (0 for no rows). Raises
+    InvalidInput unless every one lies below _MAX_SQ_NORM, which rejects
+    NaN and infinite entries too."""
     s = np.einsum("ij,ij->i", X, X)
-    if not (s < _MAX_SQ_NORM).all():
+    top = s.max(initial=0.0)
+    if not top < _MAX_SQ_NORM:  # NaN fails too
         raise InvalidInput(f"points must be finite with squared norms below {_MAX_SQ_NORM:.4g}")
-    return s
+    return s, top
 
 
 def _lift_rows(X: np.ndarray) -> np.ndarray:
@@ -90,45 +114,55 @@ def _lift_rows(X: np.ndarray) -> np.ndarray:
     n, d = X.shape
     L = np.empty((n, d + 2))
     L[:, :d] = X
-    L[:, d] = _sq_norms(X)
+    L[:, d] = _sq_norms(X)[0]
     L[:, d + 1] = 1.0
     return L
 
 
-def _lift_columns(Z: np.ndarray) -> np.ndarray:
-    """[-2Z, 1, |z|^2], N_T x (d + 2): _lift_rows(X) @ _lift_columns(Z).T
-    is the matrix of squared distances ||x - z||^2."""
+def _lift_columns(Z: np.ndarray) -> tuple[np.ndarray, float]:
+    """[-2Z, 1, |z|^2], N_T x (d + 2), and max |z|^2: _lift_rows(X) @
+    _lift_columns(Z)[0].T is the matrix of squared distances ||x - z||^2."""
     n, d = Z.shape
     L = np.empty((n, d + 2))
-    L[:, d + 1] = _sq_norms(Z)  # first: it rejects a Z whose -2Z overflows
+    L[:, d + 1], top = _sq_norms(Z)  # first: it rejects a Z whose -2Z overflows
     np.multiply(Z, -2.0, out=L[:, :d])
     L[:, d] = 1.0
-    return L
+    return L, top
 
 
 def _rbf_block(gamma: float, Xl: np.ndarray, Zl: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """K(X, Z) in out, from the lifted rows Xl of X and lifted columns Zl
-    of Z: one GEMM writes ||x - z||^2 into out, which is then clamped at
-    0 (rounding can leave it slightly negative), scaled by -gamma and
-    exponentiated in place."""
+    """exp(-gamma d) in out, where one GEMM of the lifted rows Xl of X and
+    lifted columns Zl of Z gives d, ||x - z||^2 up to rounding, which is
+    then scaled by -gamma and exponentiated in place.
+
+    Where d rounds below 0 (coincident or nearly coincident points), the
+    entry exceeds 1 by about gamma |d|: the rounding error of ||x - z||^2,
+    which a clamp at 0 would only make one-sided. Under the caller's
+    np.errstate, -gamma d may overflow to -inf for gamma > 1 (entry 0,
+    which is right), and exp to inf where d rounds far below 0 (rows far
+    beyond the kernel's scale), which the caller clamps at 1.
+    """
     np.matmul(Xl, Zl.T, out=out)
-    np.maximum(out, 0.0, out=out)
     out *= -gamma
     np.exp(out, out=out)
     return out
 
 
-def _rows_per_block(n_cols: int) -> int:
-    """Rows of a block of at most _BLOCK entries (one row at least)."""
-    return max(1, _BLOCK // max(n_cols, 1))
+def _rows_per_block(entries: int, n_cols: int) -> int:
+    """Rows of a block of at most entries entries (one row at least)."""
+    return max(1, entries // max(n_cols, 1))
 
 
 def _rbf_into(K: np.ndarray, gamma: float, X: np.ndarray, Zl: np.ndarray) -> np.ndarray:
     """K(X, Z) written into K, X lifted one strip of rows at a time so
-    that no lifted copy of all of X exists beside the output."""
-    step = _rows_per_block(K.shape[1])
-    for lo in range(0, len(X), step):
-        _rbf_block(gamma, _lift_rows(X[lo:lo + step]), Zl, K[lo:lo + step])
+    that no lifted copy of all of X exists beside the output. Entries are
+    clamped at 1, so they equal exp(-gamma max(d, 0)) exactly, also where
+    -gamma d overflows to -inf (entry 0) or exp to inf (entry 1)."""
+    step = _rows_per_block(_STRIP, K.shape[1])
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(X), step):
+            strip = _rbf_block(gamma, _lift_rows(X[lo:lo + step]), Zl, K[lo:lo + step])
+            np.minimum(strip, 1.0, out=strip)
     return K
 
 
@@ -153,7 +187,7 @@ def gram(spec: KernelSpec, items) -> np.ndarray:
     """Dense Gram matrix K[i, j] = k(items[i], items[j]).
 
     RBF and delta Grams both carry a unit diagonal, enforced exactly. The
-    RBF Gram is evaluated into its output in strips of at most _BLOCK
+    RBF Gram is evaluated into its output in strips of at most _STRIP
     entries, then made exactly symmetric in place, (K + K^T) / 2 over
     strips of the same size, so it needs no second N x N array.
     """
@@ -161,8 +195,8 @@ def gram(spec: KernelSpec, items) -> np.ndarray:
         return _delta(items, items)
     X = _as_points(items)
     n = len(X)
-    K = _rbf_into(np.empty((n, n)), spec.gamma, X, _lift_columns(X))
-    step = _rows_per_block(n)
+    K = _rbf_into(np.empty((n, n)), spec.gamma, X, _lift_columns(X)[0])
+    step = _rows_per_block(_STRIP, n)
     for lo in range(0, n, step):
         hi = lo + step
         # the strip K[lo:hi, lo:] and its mirror K[lo:, lo:hi]; earlier
@@ -186,7 +220,7 @@ def cross_gram(spec: KernelSpec, X, Z) -> np.ndarray:
         raise InvalidInput(
             f"feature dimension mismatch: {Xp.shape[1]} vs {Zp.shape[1]}"
         )
-    return _rbf_into(np.empty((len(Xp), len(Zp))), spec.gamma, Xp, _lift_columns(Zp))
+    return _rbf_into(np.empty((len(Xp), len(Zp))), spec.gamma, Xp, _lift_columns(Zp)[0])
 
 
 def rbf_cross_product(gamma: float, Xl: np.ndarray, Z: np.ndarray,
@@ -196,16 +230,26 @@ def rbf_cross_product(gamma: float, Xl: np.ndarray, Z: np.ndarray,
 
     K is never formed: rows of Xl are taken max(1, _BLOCK // N_T) at a
     time into one reused block, so at most _BLOCK kernel entries exist at
-    once whatever N_T is.
+    once whatever N_T is. Each block is GEMM, scale, exp and the weight
+    product. Its entries are clamped at 1, as in cross_gram, only once
+    gamma (d + 2) max |z|^2 reaches _UNCLAMPED_LIMIT; below it no entry
+    exceeds 1 by more than about 2**-20.
     """
-    Zl = _lift_columns(Z)
+    Zl, top = _lift_columns(Z)
     n_train, n_test = len(Xl), len(Z)
     out = np.zeros((weights.shape[1], n_test))
-    step = _rows_per_block(n_test)
+    step = _rows_per_block(_BLOCK, n_test)
     G = np.empty((min(step, n_train), n_test))
-    for lo in range(0, n_train, step):
-        hi = min(lo + step, n_train)
-        out += weights[lo:hi].T @ _rbf_block(gamma, Xl[lo:hi], Zl, G[:hi - lo])
+    tight = top < _UNCLAMPED_LIMIT / (gamma * Zl.shape[1])
+    # otherwise neither -gamma d (gamma <= 1) nor exp (tight) can overflow,
+    # and a batch-1 call skips the errstate's microsecond
+    with np.errstate(over="ignore") if gamma > 1 or not tight else contextlib.nullcontext():
+        for lo in range(0, n_train, step):
+            hi = min(lo + step, n_train)
+            block = _rbf_block(gamma, Xl[lo:hi], Zl, G[:hi - lo])
+            if not tight:
+                np.minimum(block, 1.0, out=block)
+            out += weights[lo:hi].T @ block
     return out
 
 

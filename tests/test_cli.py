@@ -269,6 +269,21 @@ def test_fit_rejects_huge_features(tmp_path, capsys):
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_fastdcm_fits_a_file_with_repeated_rows(tmp_path, capsys):
+    """Every row is a landmark and each appears twice, so the landmark
+    block is singular; the fit still succeeds."""
+    path = _synth(tmp_path)
+    lines = open(path).read().splitlines()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join(lines + lines[1:]) + "\n")
+    n_rows = 2 * (len(lines) - 1)
+    rc = main(["fit", "--input", str(twice), "--output", str(tmp_path / "m.bin"),
+               "--algorithm", "fastdcm", "--gamma", "0.5", "--m", "2",
+               "--M", str(n_rows)])
+    assert rc == 0, capsys.readouterr().err
+    assert np.all(np.isfinite(load_model(str(tmp_path / "m.bin")).coefficients))
+
+
 def test_fit_missing_input_file(tmp_path, capsys):
     rc = main(["fit", "--input", str(tmp_path / "nope.csv"),
                "--output", str(tmp_path / "m.bin"), "--gamma", "0.5"])

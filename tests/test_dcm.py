@@ -453,6 +453,22 @@ def test_squared_norms_just_under_the_bound_evaluate_without_warnings():
     npt.assert_array_equal(K, np.eye(3))
 
 
+@pytest.mark.parametrize("gamma", [5.0, 100.0])
+def test_wide_kernels_near_the_norm_bound_evaluate_without_warnings(gamma):
+    """For gamma > 1, -gamma ||x - z||^2 overflows to -inf near the norm
+    bound. The entry, 0, is right, and numpy stays silent: the suite makes
+    every RuntimeWarning an error."""
+    spec = KernelSpec("rbf", gamma)
+    x = 0.99 * np.sqrt(_MAX_SQ_NORM)
+    X = np.array([[x], [-x], [0.0]])
+    npt.assert_array_equal(gram(spec, X), np.eye(3))
+    npt.assert_array_equal(cross_gram(spec, X, X), np.eye(3))
+    npt.assert_array_equal(cross_gram(spec, [[1e153]], [[-1e153], [0.0]]), [[0.0, 0.0]])
+    model = ProjectionModel("dcm", np.arange(6.0).reshape(3, 2), np.ones(2), X, spec,
+                            np.array([0.1, 0.2, 0.3]))
+    npt.assert_allclose(transform(model, X), unfused_transform(model, X), rtol=0, atol=1e-12)
+
+
 def test_serialization_round_trip(tmp_path, small_data, rbf):
     model = fit_dcm(small_data, rbf, 1e-3, 3)
     path = str(tmp_path / "m.bin")

@@ -294,6 +294,34 @@ def test_fast_path_handles_duplicate_landmark_labels(rbf, small_data):
     assert model.landmarks is not None and len(model.landmarks) == 30
 
 
+def _data_with_repeated_rows():
+    """150 standard-normal rows in R^10, the first 50 of them repeated,
+    with +-1 labels and 3 domains."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((150, 10))
+    X = np.vstack([X, X[:50]])
+    y = np.where(rng.random(len(X)) < 0.5, 1.0, -1.0)
+    return DataSet(X=X, y=y, d=np.arange(len(X)) % 3)
+
+
+@pytest.mark.parametrize("M", [50, 200])
+def test_landmark_fit_with_repeated_rows(M, rbf):
+    """Two landmarks on one row make Wt_x's entries about 1 / jitter; the
+    fit still runs, its directions have unit norm under the sketch, and
+    with every row a landmark its eigenvalues are the dense fit's."""
+    data = _data_with_repeated_rows()
+    model = fit_fastdcm(data, rbf, 1e-3, 3, M, seed=0)
+    landmark_rows = data.X[model.landmarks]
+    assert len(np.unique(landmark_rows, axis=0)) < M  # 2 repeated pairs at M = 50
+    sk = build_sketch(data, rbf, model.landmarks)
+    approx = sk.Cx @ sk.Wt_x @ sk.Cx.T
+    norms = np.einsum("ij,ij->j", model.coefficients, approx @ model.coefficients)
+    npt.assert_allclose(norms, np.ones(3), rtol=1e-5)
+    if M == len(data):
+        npt.assert_allclose(model.eigenvalues, fit_dcm(data, rbf, 1e-3, 3).eigenvalues,
+                            rtol=1e-5)
+
+
 def test_fastcoir_ignores_domains(rbf, small_data):
     a = fit_fastcoir(small_data, rbf, 1e-3, 3, 25, 1)
     relabeled = DataSet(X=small_data.X, y=small_data.y,

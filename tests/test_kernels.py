@@ -8,11 +8,14 @@ from conftest import build_bundle, eval_kernel
 
 from covmin import InvalidInput, KernelSpec
 from covmin.kernels import (
+    _UNCLAMPED_LIMIT,
+    _lift_rows,
     center_cross_from_means,
     center_gram,
     cross_gram,
     gram,
     median_gamma,
+    rbf_cross_product,
 )
 
 E1 = np.exp(-1.0)  # 0.36787944117144233
@@ -52,8 +55,38 @@ def test_gram_values():
 
 def test_gram_of_identical_values_is_exactly_one():
     # the lifted product gives a squared distance of exactly 0 between
-    # identical 1-D values, whatever gamma
-    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), np.full(7, 3.0)), np.ones((7, 7)))
+    # identical 1-D values, whatever gamma, clamped or not
+    v = np.full(7, 3.0)
+    npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), v), np.ones((7, 7)))
+    npt.assert_array_equal(cross_gram(KernelSpec("rbf", 0.7), v, v[:3]), np.ones((7, 3)))
+    npt.assert_array_equal(rbf_cross_product(0.7, _lift_rows(v[:, None]), v[:3, None],
+                                             np.eye(7)), np.ones((7, 3)))
+
+
+def test_gram_and_cross_gram_entries_never_exceed_one():
+    """Rounding takes some squared distances between nearly coincident
+    rows below 0: unclamped, 691 of these cross-Gram entries would exceed
+    1, by up to 5.6e-9. gram and cross_gram clamp them at exactly 1."""
+    rng = np.random.default_rng(0)
+    X = 1e3 * rng.standard_normal((2000, 10))
+    Z = X + 1e-9 * rng.standard_normal(X.shape)
+    spec = KernelSpec("rbf", 0.5)
+    assert cross_gram(spec, X, Z).max() == 1.0
+    assert gram(spec, Z).max() == 1.0
+
+
+@pytest.mark.parametrize("scale", [0.9, 10.0, 1e12])
+def test_served_entries_exceed_one_by_rounding_at_most(scale):
+    """Serving leaves its entries unclamped while gamma (d + 2) max |z|^2
+    is below _UNCLAMPED_LIMIT (scale < 1), where none exceeds exp(2**-20),
+    and clamps them at 1 beyond it, where coincident rows would otherwise
+    give entries up to inf (scale 1e12: coordinates near 4e9)."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 10))
+    X *= np.sqrt(scale * _UNCLAMPED_LIMIT / (0.5 * 12 * np.einsum("ij,ij->i", X, X).max()))
+    served = rbf_cross_product(0.5, _lift_rows(X), X, np.eye(len(X)))
+    assert served.min() >= 0.0
+    assert served.max() <= (np.exp(2.0 ** -20) if scale < 1 else 1.0)
 
 
 def test_gram_symmetric_unit_diagonal(rbf):
@@ -74,7 +107,7 @@ def test_gram_is_the_mean_of_both_triangles(N, block, rbf, monkeypatch):
     1, of 374 and 326 rows, of all rows); every entry is bit for bit the
     out-of-place (K + K^T) / 2 of the unsymmetrized kernel block."""
     if block is not None:
-        monkeypatch.setattr("covmin.kernels._BLOCK", block)
+        monkeypatch.setattr("covmin.kernels._STRIP", block)
     X = np.random.default_rng(N).standard_normal((N, 3))
     K = cross_gram(rbf, X, X)
     expected = 0.5 * (K + K.T)
