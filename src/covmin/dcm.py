@@ -344,7 +344,8 @@ def transform(model: ProjectionModel, Z) -> np.ndarray:
     elementwise passes over each block (three once gamma (d + 2) |z|^2
     reaches kernels._UNCLAMPED_LIMIT for a query). Working memory beyond
     the m x N_T result and the N_T x (d + 2) lifted queries is O(B), B =
-    kernels._BLOCK entries (512 KB), whatever N_T is.
+    kernels._BLOCK entries (512 KB), whatever N_T is. A single query runs
+    the same steps on vectors: same bits and memory, fewer numpy calls.
     """
     Z = _as_points(Z)
     if Z.shape[1] != model.train_X.shape[1]:

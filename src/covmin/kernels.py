@@ -19,6 +19,8 @@ cross_gram clamp their entries at 1 in a third pass, which gives exactly
 the entries of a distance clamped at 0, exp(-gamma max(d, 0)). Serving
 skips that pass while rounding cannot lift an entry measurably above 1
 (_UNCLAMPED_LIMIT).
+A single query skips _rbf_block: _rbf_query_product takes the same steps
+on vectors, with the same bits in fewer numpy calls.
 Every lift checks that squared norms lie below _MAX_SQ_NORM, a quarter of
 the largest float, and raises InvalidInput otherwise (NaN and inf too), so
 no distance product overflows.
@@ -98,15 +100,18 @@ def median_gamma(values) -> float:
     return 1.0 / (2.0 * med * med)
 
 
-def _sq_norms(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """|x|^2 for each row of X, and the largest (0 for no rows). Raises
-    InvalidInput unless every one lies below _MAX_SQ_NORM, which rejects
-    NaN and infinite entries too."""
-    s = np.einsum("ij,ij->i", X, X)
-    top = s.max(initial=0.0)
+def _checked_norm(top: float) -> float:
+    """top, a largest squared norm; InvalidInput unless it lies below
+    _MAX_SQ_NORM, which rejects NaN and infinite entries too."""
     if not top < _MAX_SQ_NORM:  # NaN fails too
         raise InvalidInput(f"points must be finite with squared norms below {_MAX_SQ_NORM:.4g}")
-    return s, top
+    return top
+
+
+def _sq_norms(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """|x|^2 for each row of X, and the largest (0 for no rows), checked."""
+    s = np.einsum("ij,ij->i", X, X)
+    return s, _checked_norm(s.max(initial=0.0))
 
 
 def _lift_rows(X: np.ndarray) -> np.ndarray:
@@ -128,6 +133,18 @@ def _lift_columns(Z: np.ndarray) -> tuple[np.ndarray, float]:
     np.multiply(Z, -2.0, out=L[:, :d])
     L[:, d] = 1.0
     return L, top
+
+
+def _lift_query(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """_lift_columns of the one row z as a vector, and |z|^2, bit for bit:
+    einsum sums one row's products in the same order (z @ z does not)."""
+    d = len(z)
+    sq = _checked_norm(np.einsum("i,i->", z, z))
+    zl = np.empty(d + 2)
+    np.multiply(z, -2.0, out=zl[:d])
+    zl[d] = 1.0
+    zl[d + 1] = sq
+    return zl, sq
 
 
 def _rbf_block(gamma: float, Xl: np.ndarray, Zl: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -233,23 +250,47 @@ def rbf_cross_product(gamma: float, Xl: np.ndarray, Z: np.ndarray,
     once whatever N_T is. Each block is GEMM, scale, exp and the weight
     product. Its entries are clamped at 1, as in cross_gram, only once
     gamma (d + 2) max |z|^2 reaches _UNCLAMPED_LIMIT; below it no entry
-    exceeds 1 by more than about 2**-20.
+    exceeds 1 by more than about 2**-20. A single query takes the same
+    steps on vectors (_rbf_query_product).
     """
-    Zl, top = _lift_columns(Z)
-    n_train, n_test = len(Xl), len(Z)
-    out = np.zeros((weights.shape[1], n_test))
-    step = _rows_per_block(_BLOCK, n_test)
-    G = np.empty((min(step, n_train), n_test))
-    tight = top < _UNCLAMPED_LIMIT / (gamma * Zl.shape[1])
+    single = len(Z) == 1
+    Zl, top = _lift_query(Z[0]) if single else _lift_columns(Z)
+    tight = top < _UNCLAMPED_LIMIT / (gamma * Xl.shape[1])
     # otherwise neither -gamma d (gamma <= 1) nor exp (tight) can overflow,
     # and a batch-1 call skips the errstate's microsecond
     with np.errstate(over="ignore") if gamma > 1 or not tight else contextlib.nullcontext():
+        if single:
+            return _rbf_query_product(gamma, Xl, Zl, weights, tight)[:, None]
+        n_train, n_test = len(Xl), len(Z)
+        out = np.zeros((weights.shape[1], n_test))
+        step = _rows_per_block(_BLOCK, n_test)
+        G = np.empty((min(step, n_train), n_test))
         for lo in range(0, n_train, step):
             hi = min(lo + step, n_train)
             block = _rbf_block(gamma, Xl[lo:hi], Zl, G[:hi - lo])
             if not tight:
                 np.minimum(block, 1.0, out=block)
             out += weights[lo:hi].T @ block
+    return out
+
+
+def _rbf_query_product(gamma: float, Xl: np.ndarray, zl: np.ndarray,
+                       weights: np.ndarray, tight: bool) -> np.ndarray:
+    """weights^T k(X, z) as a vector, for zl = _lift_query(z)[0]: per
+    _BLOCK rows of Xl, the steps of a batch of one in rbf_cross_product
+    on vectors, so the same BLAS calls (GEMV; np.dot skips matmul's ufunc
+    dispatch) and the same bits."""
+    def block(lo):
+        g = np.dot(Xl[lo:lo + _BLOCK], zl)  # freed on return: one block at a time
+        g *= -gamma
+        np.exp(g, out=g)
+        if not tight:
+            np.minimum(g, 1.0, out=g)
+        return np.dot(weights[lo:lo + _BLOCK].T, g)
+
+    out = block(0)  # a GEMV never returns -0.0, so this is 0 + block(0)
+    for lo in range(_BLOCK, len(Xl), _BLOCK):
+        out += block(lo)
     return out
 
 

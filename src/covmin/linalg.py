@@ -22,11 +22,12 @@ from .errors import InvalidInput, SingularMatrix
 _log = logging.getLogger(__name__)
 
 #: lowrank_gen_eig assembles pencils of at most this order for LAPACK. On
-#: criterion-4 pencils (m=5, 2-CPU Xeon, BLAS on one thread) LAPACK took
-#: 4.9 ms against 11.8 ms for Lanczos at r=200, the two stayed within 3 ms
-#: of each other from r=256 to 350, and Lanczos won from r=400 (18.5 ms
-#: against 21.7 ms; at r=700, 18 ms against 70 ms)
-_DENSE_MAX_ORDER = 256
+#: criterion-4 subsamples (m=5, 2-core Xeon, BLAS on one thread; the
+#: median over 3 splits of the median of 21 solves) LAPACK took 3.1 ms
+#: against 4.5 ms for Lanczos at r=255, 4.2 against 5.2 ms at r=299, 5.5
+#: against 6.0 ms at r=339 and 5.9 against 6.1 ms at r=349, and Lanczos
+#: won from r=359 (5.9 against 6.3 ms; at r=399, 6.8 against 7.95 ms)
+_DENSE_MAX_ORDER = 350
 
 
 @dataclass

@@ -291,20 +291,26 @@ def test_transform_matches_unfused_reference(kind, N, n_test, rbf):
 def test_transform_working_memory_is_one_block():
     # beyond its m x N_T result and the N_T x (d + 2) lifted queries,
     # transform holds one block of _BLOCK kernel entries, where the
-    # N x N_T cross-Gram would take 160 MB
+    # N x N_T cross-Gram would take 160 MB for 1000 queries against 20000
+    # rows, and a single query against 100000 rows 800 KB
     rng = np.random.default_rng(0)
-    N, d, m, n_test = 20000, 10, 5, 1000
-    model = ProjectionModel("dcm", rng.standard_normal((N, m)), np.ones(m),
-                            rng.standard_normal((N, d)), KernelSpec("rbf", 0.5), rng.random(N))
-    Z = rng.standard_normal((n_test, d))
-    transform(model, Z[:1])  # derives the serving constants
-    tracemalloc.start()
-    try:
-        out = transform(model, Z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - out.nbytes - 8 * n_test * (d + 2) <= 1.1 * 8 * _BLOCK
+    d, m = 10, 5
+    for N, n_test in ((20000, 1000), (100000, 1)):
+        model = ProjectionModel("dcm", rng.standard_normal((N, m)), np.ones(m),
+                                rng.standard_normal((N, d)), KernelSpec("rbf", 0.5),
+                                rng.random(N))
+        Z = rng.standard_normal((n_test, d))
+        transform(model, Z[:1])  # derives the serving constants
+        tracemalloc.start()
+        try:
+            out = transform(model, Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - 8 * n_test * (d + 2) <= 1.1 * 8 * _BLOCK
+    # the single query ran over two blocks of training rows
+    ref = unfused_transform(model, Z)
+    npt.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_transform_sees_edits_made_before_its_first_call(small_data, rbf):
@@ -375,8 +381,8 @@ def test_kernel_factor_peak_memory(rbf):
 
 
 def _lanczos_sized_data(rbf):
-    """320 rows: the reduced pencil is too large for the dense solve."""
-    data = random_dataset(np.random.default_rng(5), 320, n=10, domains=5)
+    """400 rows: the reduced pencil is too large for the dense solve."""
+    data = random_dataset(np.random.default_rng(5), 400, n=10, domains=5)
     assert len(kernel_factor(rbf, data.X).values) > linalg._DENSE_MAX_ORDER
     return data
 
@@ -419,8 +425,9 @@ def test_transform_validation(small_data, rbf):
     for bad in (np.nan, np.inf):
         Z = small_data.X[:3].copy()
         Z[1, 2] = bad
-        with pytest.raises(InvalidInput, match="finite"):
-            transform(model, Z)
+        for query in (Z, Z[1:2]):  # a batch and a single query
+            with pytest.raises(InvalidInput, match="finite"):
+                transform(model, query)
 
 
 @pytest.mark.parametrize("huge", [1e160, 1e300, 1.7e308, np.nan])
@@ -431,7 +438,8 @@ def test_huge_features_are_invalid_input(huge, small_data, rbf):
     X = small_data.X.copy()
     X[0, 0] = huge
     calls = [lambda: gram(rbf, X), lambda: cross_gram(rbf, X, X[:2]),
-             lambda: cross_gram(rbf, small_data.X, X[:2]), lambda: transform(model, X[:3])]
+             lambda: cross_gram(rbf, small_data.X, X[:2]), lambda: transform(model, X[:3]),
+             lambda: transform(model, X[:1])]
     if np.isfinite(huge):  # DataSet itself rejects a NaN row
         data = DataSet(X=X, y=small_data.y, d=small_data.d)
         calls += [lambda: fit_dcm(data, rbf, 1e-3, 2),
@@ -466,7 +474,9 @@ def test_wide_kernels_near_the_norm_bound_evaluate_without_warnings(gamma):
     npt.assert_array_equal(cross_gram(spec, [[1e153]], [[-1e153], [0.0]]), [[0.0, 0.0]])
     model = ProjectionModel("dcm", np.arange(6.0).reshape(3, 2), np.ones(2), X, spec,
                             np.array([0.1, 0.2, 0.3]))
-    npt.assert_allclose(transform(model, X), unfused_transform(model, X), rtol=0, atol=1e-12)
+    for Z in (X, X[:1], X[2:]):  # a batch, and single queries with and without the clamp
+        npt.assert_allclose(transform(model, Z), unfused_transform(model, Z), rtol=0,
+                            atol=1e-12)
 
 
 def test_serialization_round_trip(tmp_path, small_data, rbf):

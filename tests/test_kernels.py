@@ -59,8 +59,9 @@ def test_gram_of_identical_values_is_exactly_one():
     v = np.full(7, 3.0)
     npt.assert_array_equal(gram(KernelSpec("rbf", 0.7), v), np.ones((7, 7)))
     npt.assert_array_equal(cross_gram(KernelSpec("rbf", 0.7), v, v[:3]), np.ones((7, 3)))
-    npt.assert_array_equal(rbf_cross_product(0.7, _lift_rows(v[:, None]), v[:3, None],
-                                             np.eye(7)), np.ones((7, 3)))
+    for Z in (v[:3, None], v[:1, None]):  # a batch and a single query
+        npt.assert_array_equal(rbf_cross_product(0.7, _lift_rows(v[:, None]), Z, np.eye(7)),
+                               np.ones((7, len(Z))))
 
 
 def test_gram_and_cross_gram_entries_never_exceed_one():
@@ -80,13 +81,20 @@ def test_served_entries_exceed_one_by_rounding_at_most(scale):
     """Serving leaves its entries unclamped while gamma (d + 2) max |z|^2
     is below _UNCLAMPED_LIMIT (scale < 1), where none exceeds exp(2**-20),
     and clamps them at 1 beyond it, where coincident rows would otherwise
-    give entries up to inf (scale 1e12: coordinates near 4e9)."""
+    give entries up to inf (scale 1e12: coordinates near 4e9). A single
+    query is clamped by its own norm, on either side of the limit."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((200, 10))
     X *= np.sqrt(scale * _UNCLAMPED_LIMIT / (0.5 * 12 * np.einsum("ij,ij->i", X, X).max()))
-    served = rbf_cross_product(0.5, _lift_rows(X), X, np.eye(len(X)))
+    Xl = _lift_rows(X)
+    served = rbf_cross_product(0.5, Xl, X, np.eye(len(X)))
     assert served.min() >= 0.0
     assert served.max() <= (np.exp(2.0 ** -20) if scale < 1 else 1.0)
+    for z in X:
+        served = rbf_cross_product(0.5, Xl, z[None, :], np.eye(len(X)))
+        assert served.min() >= 0.0
+        assert served.max() <= (np.exp(2.0 ** -20) if 0.5 * 12 * z @ z < _UNCLAMPED_LIMIT
+                                else 1.0)
 
 
 def test_gram_symmetric_unit_diagonal(rbf):

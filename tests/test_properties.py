@@ -212,10 +212,10 @@ def test_sketch_blocks_equal_the_landmark_column_blocks(problem):
 @st.composite
 def served_models(draw):
     """A model with arbitrary coefficients (column means not zero) and row
-    means, and a query batch. N often sits on or next to a multiple of the
-    rows per block, max(1, _BLOCK // N_T)."""
+    means, and a query batch, often of one query or none. N often sits on
+    or next to a multiple of the rows per block, max(1, _BLOCK // N_T)."""
     seed = draw(st.integers(0, 2**32 - 1))
-    n_test = draw(st.integers(0, 1200))
+    n_test = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 1200)))
     d = draw(st.integers(1, 5))
     m = draw(st.integers(1, 4))
     step = max(1, _BLOCK // max(n_test, 1))
