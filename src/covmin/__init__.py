@@ -43,7 +43,7 @@ from .fastpath import (
     sample_landmarks,
 )
 from .kernels import KernelSpec, center_gram, cross_gram, gram, median_gamma
-from .linalg import EigPairs, gen_eig, ridge_inverse, sym_eig
+from .linalg import EigPairs, ridge_inverse, sym_eig
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "CovminError", "InvalidInput", "SingularMatrix",
     "RankDeficient", "RankDeficientWarning", "UndefinedMetric", "SchemaError",
     "KernelSpec", "gram", "cross_gram", "center_gram", "median_gamma",
-    "EigPairs", "sym_eig", "gen_eig", "ridge_inverse",
+    "EigPairs", "sym_eig", "ridge_inverse",
     "DataSet", "SynthConfig", "synth_generate", "sample_wishart",
     "load_csv", "save_csv", "split_domains",
     "ProjectionModel", "KernelFactor", "kernel_factor", "build_operator_pair",

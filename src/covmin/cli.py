@@ -59,7 +59,7 @@ _OPTIONS = {
     "--input": dict(help="input CSV path"),
     "--output": dict(help="output path (or prefix for eval)"),
     "--model": dict(help="fitted model path (eval: score it on --input)"),
-    "--algorithm": dict(choices=ALGORITHMS, default="dcm"),
+    "--algorithm": dict(choices=tuple(FITTERS), default="dcm"),
     "--epsilon": dict(type=_positive_float, default=1e-3),
     "--gamma": dict(type=_positive_float, help="rbf width for the input kernel"),
     "--gamma-y": dict(type=_positive_float,
@@ -114,8 +114,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.algorithm not in FITTERS:
-        raise CovminError(f"algorithm {args.algorithm!r} has no fitted model (use eval)")
     data = _load_input(args)
     model = FITTERS[args.algorithm](data, KernelSpec(RBF, args.gamma),
                                     resolve_spec_y(args, data.y), args)
@@ -271,10 +269,7 @@ def main(argv=None) -> int:
             parser.error(f"m={args.m} must not exceed M={args.M}")
     try:
         return args.func(args)
-    except CovminError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, np.linalg.LinAlgError) as exc:
+    except (CovminError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

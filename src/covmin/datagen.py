@@ -8,7 +8,7 @@ byte for a fixed config.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,14 +22,12 @@ class DataSet:
     """Samples with outputs and domain labels.
 
     X is N x n and finite, y has length N (class labels as +-1.0 or
-    finite real values), d has length N. domain_sizes maps each observed
-    domain label to its sample count.
+    finite real values), d has length N.
     """
 
     X: np.ndarray
     y: np.ndarray
     d: np.ndarray
-    domain_sizes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -42,9 +40,6 @@ class DataSet:
             raise InvalidInput("X has non-finite entries")
         if self.y.dtype.kind == "f" and not np.isfinite(self.y).all():
             raise InvalidInput("y has non-finite entries")
-        if not self.domain_sizes:
-            labels, counts = np.unique(self.d, return_counts=True)
-            self.domain_sizes = dict(zip(labels.tolist(), counts.tolist()))
 
     def __len__(self):
         return self.X.shape[0]

@@ -269,7 +269,7 @@ def _fit_factor(algorithm, data: DataSet, factor, spec_y, spec_d, epsilon, m) ->
     """The fit tail of both paths (module docstring): the top m pairs of
     the reduced pencil of the input factor of data.X, which must span m
     directions, each scaled to unit norm under its centered Gram. spec_y
-    defaults to delta; spec_d = None drops the domain term.
+    defaults to delta; spec_d is delta, or None to drop the domain term.
     """
     _require_rank(factor, m)
     Fy = factor.side(spec_y or KernelSpec(DELTA), data.y)
@@ -281,14 +281,14 @@ def _fit_factor(algorithm, data: DataSet, factor, spec_y, spec_d, epsilon, m) ->
 
 
 def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
-            spec_y: KernelSpec | None = None,
-            spec_d: KernelSpec | None = None, *,
+            spec_y: KernelSpec | None = None, *,
             factor: KernelFactor | None = None) -> ProjectionModel:
     """Fit the domain-suppressing projection on a multi-domain dataset.
 
     spec_y defaults to a delta kernel (discrete outputs); pass an RBF spec
-    for continuous outputs. Retains the m directions with the largest
-    eigenvalues, each scaled to unit norm under the centered input Gram.
+    for continuous outputs. The domain kernel is the delta indicator of
+    data.d. Retains the m directions with the largest eigenvalues, each
+    scaled to unit norm under the centered input Gram.
 
     factor, when given, is kernel_factor(spec_x, data.X), which the fit
     then uses instead of building its own: fits of several algorithms on
@@ -305,7 +305,7 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     domains. Memory O(N^2).
     """
     return _fit_factor("dcm", data, _input_factor(data, spec_x, m, factor),
-                       spec_y, spec_d or KernelSpec(DELTA), epsilon, m)
+                       spec_y, KernelSpec(DELTA), epsilon, m)
 
 
 def fit_coir(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
@@ -393,7 +393,8 @@ def _read_exact(fh, count: int, path: str) -> bytes:
     return data
 
 
-_HEADER_COUNTS = ("n_train", "n_features", "m", "n_landmarks")
+#: model header count -> its least value in a fit's model
+_HEADER_COUNTS = {"n_train": 1, "n_features": 1, "m": 1, "n_landmarks": 0}
 
 
 def _parse_header(blob: bytes, path: str) -> dict:
@@ -407,10 +408,11 @@ def _parse_header(blob: bytes, path: str) -> dict:
                if k not in header]
     if missing:
         raise InvalidInput(f"{path}: model header lacks {missing}")
-    bad = [k for k in _HEADER_COUNTS
-           if type(header[k]) is not int or header[k] < 0]
+    bad = [k for k, least in _HEADER_COUNTS.items()
+           if type(header[k]) is not int or header[k] < least]
     if bad:
-        raise InvalidInput(f"{path}: model header counts {bad} are not non-negative integers")
+        raise InvalidInput(f"{path}: model header counts {bad} must be integers, "
+                           "n_landmarks >= 0 and the others >= 1")
     if not isinstance(header["algorithm"], str):
         raise InvalidInput(f"{path}: model header algorithm {header['algorithm']!r} "
                            "is not a string")

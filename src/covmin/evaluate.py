@@ -3,8 +3,10 @@
 The downstream learner is linear ridge regression on projected features
 with an unpenalized intercept (kernel ridge in the projected space, where
 the kernel is linear). The unprojected baseline solves the standard dual
-kernel-ridge system on the centered training Gram. Classification
-thresholds scores at zero on +-1 targets.
+kernel-ridge system on the centered training Gram; its dual weights are
+the coefficients of a one-direction ProjectionModel, so dcm.transform
+serves it like every fit. Classification thresholds scores at zero on +-1
+targets.
 
 run_experiment factorizes the centered input Gram once per split
 (dcm.kernel_factor): dcm, coir, kpca and the baseline all use that one
@@ -23,14 +25,7 @@ import numpy as np
 from . import dcm, fastpath
 from .datagen import SynthConfig, split_domains, synth_generate
 from .errors import CovminError, InvalidInput, RankDeficientWarning, UndefinedMetric
-from .kernels import (
-    DELTA,
-    RBF,
-    KernelSpec,
-    center_cross_from_means,
-    cross_gram,
-    median_gamma,
-)
+from .kernels import DELTA, RBF, KernelSpec, median_gamma
 
 
 def _no_factor():
@@ -57,8 +52,8 @@ FITTERS = {
         data, spec_x, p.epsilon, p.m, p.M, p.seed, spec_y=spec_y),
 }
 
-# "baseline" is kernel ridge on the raw centered Gram: scored, never fitted
-# to a ProjectionModel
+# "baseline" is kernel ridge on the raw centered Gram, which run_experiment
+# alone fits (_fit_and_score): its dual solve needs lam, its predictor is fixed
 ALGORITHMS = (*FITTERS, "baseline")
 
 
@@ -296,22 +291,20 @@ def score_predictions(scores, truth, label_kind: str) -> dict:
 
 def _fit_and_score(alg: str, cfg: ExperimentConfig, spec_x, train, test, factor,
                    timings) -> dict:
-    spec_y = resolve_spec_y(cfg, train.y)
     t0 = time.perf_counter()
     if alg == "baseline":
-        f = factor()
-        ym = float(train.y.mean())
-        alpha = _ridge_dual(f, train.y - ym, cfg.lam)
-        timings[alg]["fit"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        Kz = center_cross_from_means(cross_gram(spec_x, train.X, test.X), f.row_means)
-        scores = Kz.T @ alpha + ym
+        # one direction, the dual weights (eigenvalue 1 a placeholder);
+        # the predictor adds mean(y) to its projection
+        f, ym = factor(), float(train.y.mean())
+        model = dcm.ProjectionModel("baseline", _ridge_dual(f, train.y - ym, cfg.lam)[:, None],
+                                    np.ones(1), train.X, spec_x, f.row_means)
+        predictor = RidgePredictor(np.ones(1), np.zeros(1), ym)
     else:
-        model = FITTERS[alg](train, spec_x, spec_y, cfg, factor)
+        model = FITTERS[alg](train, spec_x, resolve_spec_y(cfg, train.y), cfg, factor)
         predictor = krr_fit(dcm.transform(model, train.X), train.y, cfg.lam)
-        timings[alg]["fit"] += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        scores = predictor.predict(dcm.transform(model, test.X))
+    timings[alg]["fit"] += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    scores = predictor.predict(dcm.transform(model, test.X))
     timings[alg]["predict"] += time.perf_counter() - t0
     return score_predictions(scores, test.y, cfg.label_kind)
 

@@ -156,8 +156,7 @@ def _fit_fast(algorithm, data: DataSet, spec_x, spec_y, spec_d, epsilon, m, M,
 
 def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
                 M: int, seed: int,
-                spec_y: KernelSpec | None = None,
-                spec_d: KernelSpec | None = None) -> ProjectionModel:
+                spec_y: KernelSpec | None = None) -> ProjectionModel:
     """Landmark-approximated fit; requires m <= M <= N.
 
     The dense fit's pencil on the landmark-approximated kernels, solved by
@@ -175,7 +174,7 @@ def fit_fastdcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     with centering statistics taken from the approximated training
     kernel (exact when M = N).
     """
-    return _fit_fast("fastdcm", data, spec_x, spec_y, spec_d or KernelSpec(DELTA),
+    return _fit_fast("fastdcm", data, spec_x, spec_y, KernelSpec(DELTA),
                      epsilon, m, M, seed)
 
 

@@ -8,6 +8,9 @@ never forms those centered columns: centering is linear, so
 coef^T H (K(X, Z) - mu 1^T) = beta^T K(X, Z) - (beta^T mu) 1^T with
 beta = H coef, and rbf_cross_product evaluates beta^T K(X, Z) block by
 block. The training row means mu still come from the training Gram alone.
+center_cross_from_means forms the centered columns explicitly; no package
+code calls it: it is the tests' reference for serving and a layer the
+benchmark traces.
 
 There is one RBF evaluator, _rbf_block, behind gram, cross_gram and every
 rbf_cross_product block. Rows are lifted to [x, |x|^2, 1] (_lift_rows) and
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +60,9 @@ _STRIP = 2 ** 18
 #: 1. Where the lifted product rounds ||x - z||^2 below 0, its error is
 #: below (d + 1) eps (|x| + |z|)^2 (d + 2 products, lifted norms off by
 #: d eps / 2 relative), so |x| is within sqrt((d + 1) eps) of |z|, relative,
-#: and the error is below 4 (d + 2) eps |z|^2: no entry exceeds exp(2**-20)
-_UNCLAMPED_LIMIT = 2.0 ** -20 / (4 * np.finfo(float).eps)
+#: and the error is below 4 (d + 2) eps |z|^2: no entry exceeds exp(2**-20).
+#: A Python float, so that over a tiny float(gamma) it is inf, not a warning
+_UNCLAMPED_LIMIT = 2.0 ** -20 / (4 * sys.float_info.epsilon)
 
 #: bound on squared row norms: below it |x|^2 + 2|x||z| + |z|^2 is finite,
 #: so no partial sum of a distance product overflows
@@ -80,7 +85,11 @@ class KernelSpec:
         if self.kind not in (RBF, DELTA):
             raise InvalidInput(f"unknown kernel kind: {self.kind!r}")
         if self.kind == RBF:
-            if not isinstance(self.gamma, numbers.Real) or not 0 < self.gamma < np.inf:
+            try:  # float() of an int past the largest float overflows
+                finite = isinstance(self.gamma, numbers.Real) and 0 < float(self.gamma) < np.inf
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise InvalidInput("rbf kernel requires a finite gamma > 0")
 
 
@@ -255,7 +264,7 @@ def rbf_cross_product(gamma: float, Xl: np.ndarray, Z: np.ndarray,
     """
     single = len(Z) == 1
     Zl, top = _lift_query(Z[0]) if single else _lift_columns(Z)
-    tight = top < _UNCLAMPED_LIMIT / (gamma * Xl.shape[1])
+    tight = top < _UNCLAMPED_LIMIT / (float(gamma) * Xl.shape[1])
     # otherwise neither -gamma d (gamma <= 1) nor exp (tight) can overflow,
     # and a batch-1 call skips the errstate's microsecond
     with np.errstate(over="ignore") if gamma > 1 or not tight else contextlib.nullcontext():

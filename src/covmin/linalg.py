@@ -5,8 +5,8 @@ The dense fit reduces to a symmetric-definite pencil A w = lambda B w
 construction. Its two sides are a diagonal plus a low-rank term, and
 lowrank_gen_eig finds the top m pairs from those factors alone: by
 Lanczos (ARPACK) on a symmetric operator whose matvecs cost O(r (c + T))
-for ranks c and T, or, for small orders, by assembling the pencil and
-handing it to gen_eig, LAPACK's symmetric-definite solver.
+for ranks c and T, or, for small orders, by its dense branch gen_eig,
+which hands the assembled pencil to LAPACK's symmetric-definite solver.
 """
 from __future__ import annotations
 
@@ -82,45 +82,15 @@ def sym_eig(S: np.ndarray, tol: float | None = None) -> EigPairs:
     return EigPairs(values=w[order], vectors=V[:, order])
 
 
-def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float | None = None) -> EigPairs:
+def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float) -> EigPairs:
     """Top-m eigenpairs of the symmetric-definite pencil
-    A v = lambda (B + ridge I) v.
+    A v = lambda (B + ridge I) v: the dense branch of lowrank_gen_eig,
+    which checks its factors and assembles A and B exactly symmetric.
 
-    Parameters
-    ----------
-    A, B : (N, N) arrays
-        Symmetric within 1e-8 relative tolerance; B + ridge I must be
-        positive definite.
-    m : int
-        Number of pairs to retain, 1 <= m <= N.
-    ridge : float, optional
-        Added to B's diagonal. Defaults to N times the machine epsilon.
-
-    Returns
-    -------
-    EigPairs, values descending, vectors of unit Euclidean norm.
-
-    Raises
-    ------
-    InvalidInput
-        If the shapes disagree, m is out of range or A or B is not
-        symmetric.
-    SingularMatrix
-        If an entry is not finite or B + ridge I is not positive definite.
+    Returns EigPairs, values descending, vectors of unit Euclidean norm;
+    raises SingularMatrix if B + ridge I is not positive definite.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInput("A and B must be square with equal shapes")
     N = A.shape[0]
-    if not 1 <= m <= N:
-        raise InvalidInput(f"m must be in [1, {N}], got {m}")
-    if not (np.isfinite(A).all() and np.isfinite(B).all()):
-        raise SingularMatrix("pencil has non-finite entries")
-    A = _require_symmetric(A)
-    B = _require_symmetric(B)
-    if ridge is None:
-        ridge = N * np.finfo(float).eps
     try:
         w, V = sla.eigh(A, B + ridge * np.eye(N), subset_by_index=[N - m, N - 1])
     except np.linalg.LinAlgError as exc:
@@ -178,17 +148,19 @@ def lowrank_gen_eig(d: np.ndarray, Ya: np.ndarray, Yb: np.ndarray | None, m: int
     if not 1 <= m <= r:
         raise InvalidInput(f"m must be in [1, {r}], got {m}")
 
+    D = d + ridge
+    if not (np.isfinite(D).all() and np.isfinite(Ya).all()
+            and (Yb is None or np.isfinite(Yb).all())):
+        raise SingularMatrix("pencil has non-finite entries")
+
     def dense():
+        # Y^T Y is a SYRK in numpy, so A and B are exactly symmetric
         A = Ya.T @ Ya + np.diag(d)
         B = np.diag(d) if Yb is None else Yb.T @ Yb + np.diag(d)
         return gen_eig(A, B, m, ridge=ridge)
 
     if r <= _DENSE_MAX_ORDER or m >= r - 1:
         return dense()
-    D = d + ridge
-    if not (np.isfinite(D).all() and np.isfinite(Ya).all()
-            and (Yb is None or np.isfinite(Yb).all())):
-        raise SingularMatrix("pencil has non-finite entries")
     if D.min() <= 0:
         raise SingularMatrix("diag(d) + ridge*I is not positive definite")
     scale = 1.0 / np.sqrt(D)

@@ -106,10 +106,12 @@ def test_compare_rejects_unknown_algorithms(argv, message, tmp_path, capsys):
 
 def test_fit_rejects_baseline_and_missing_gamma(tmp_path, capsys):
     path = _synth(tmp_path)
-    rc = main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
-               "--algorithm", "baseline", "--gamma", "0.5"])
-    assert rc == 1
-    assert "error: CovminError" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),
+              "--algorithm", "baseline", "--gamma", "0.5"])
+    assert exc.value.code == 2
+    assert "--algorithm: invalid choice: 'baseline'" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()
 
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", path, "--output", str(tmp_path / "m.bin"),

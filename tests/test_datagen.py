@@ -54,7 +54,6 @@ def test_synth_shape_and_labels():
     assert data.X.shape[1] == 10
     assert set(np.unique(data.d)) == set(range(1, 11))
     assert set(np.unique(data.y)) <= {-1.0, 1.0}
-    assert all(c >= 1 for c in data.domain_sizes.values())
     # Poisson(100) over 10 domains: around a thousand rows
     assert 700 < len(data) < 1300
 
@@ -237,7 +236,6 @@ def test_dataset_validation():
     with pytest.raises(InvalidInput):
         DataSet(X=np.ones((3, 2)), y=np.ones(2), d=np.ones(3))
     ds = DataSet(X=np.ones((3, 2)), y=np.ones(3), d=np.array([1, 1, 2]))
-    assert ds.domain_sizes == {1: 2, 2: 1}
     assert len(ds) == 3
     for bad in (np.nan, np.inf, -np.inf):
         X = np.ones((3, 2))

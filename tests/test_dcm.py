@@ -479,6 +479,19 @@ def test_wide_kernels_near_the_norm_bound_evaluate_without_warnings(gamma):
                             atol=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [1e-308, 5e-324, np.float64(1e-308), 10**308],
+                         ids=["1e-308", "5e-324", "np-1e-308", "int-1e308"])
+def test_extreme_gammas_serve_without_warnings(gamma):
+    """Dividing the clamp bound by a gamma this small overflows, and an int
+    gamma this large is not a float: transform serves both, silently."""
+    X = np.array([[0.0], [1.0], [3.0]])
+    model = ProjectionModel("dcm", np.arange(6.0).reshape(3, 2), np.ones(2), X,
+                            KernelSpec("rbf", gamma), np.array([0.1, 0.2, 0.3]))
+    for Z in (X, X[:1]):
+        npt.assert_allclose(transform(model, Z), unfused_transform(model, Z), rtol=0,
+                            atol=1e-12)
+
+
 def test_serialization_round_trip(tmp_path, small_data, rbf):
     model = fit_dcm(small_data, rbf, 1e-3, 3)
     path = str(tmp_path / "m.bin")
@@ -548,6 +561,17 @@ def test_serialization_rejects_garbage(tmp_path, small_data, rbf):
     bad.write_bytes(with_header(json.dumps(dict(header, n_train="90"))))
     with pytest.raises(InvalidInput, match="integers"):
         load_model(str(bad))
+    # a zero count that no fit produces, in a file whose payload length
+    # matches its header, so that the count check fires
+    X = small_data.X[:5]
+    for name, coef, eigenvalues, train_X in (
+            ("n_train", np.zeros((0, 2)), np.ones(2), X[:0]),
+            ("m", np.zeros((5, 0)), np.zeros(0), X),
+            ("n_features", np.zeros((5, 2)), np.ones(2), X[:, :0])):
+        save_model(ProjectionModel("dcm", coef, eigenvalues, train_X, rbf,
+                                   np.zeros(len(train_X))), str(bad))
+        with pytest.raises(InvalidInput, match=rf"bad.bin: .*\['{name}'\] must be"):
+            load_model(str(bad))
     bad.write_bytes(with_header(json.dumps(dict(header, kernel_gamma="0.5"))))
     with pytest.raises(InvalidInput, match="gamma"):
         load_model(str(bad))

@@ -28,6 +28,12 @@ def test_spec_validation():
         KernelSpec("rbf")
     with pytest.raises(InvalidInput):
         KernelSpec("rbf", -1.0)
+    # an int gamma must be a finite float too; numpy scalars are checked
+    # without a numpy warning
+    with pytest.raises(InvalidInput, match="finite gamma"):
+        KernelSpec("rbf", 10**400)
+    assert KernelSpec("rbf", 10**300).gamma == 10**300
+    assert KernelSpec("rbf", np.float32(0.5)).gamma == 0.5
     assert KernelSpec("delta").gamma is None
 
 

@@ -50,11 +50,17 @@ def test_sym_eig_keeps_an_exactly_symmetric_input():
         assert pairs.values.shape == (0,) and pairs.vectors.shape == (0, 0)
 
 
+# The gen_eig tests drive its one caller, lowrank_gen_eig, on the dense
+# route (order at most _DENSE_MAX_ORDER). A PSD pencil A = A0 A0^T,
+# B = B0 B0^T + c I enters as factors: d = 0, Ya = A0^T, Yb = B0^T and
+# ridge c.
+
+
 def test_gen_eig_simple_pencils():
-    pairs = gen_eig(2.0 * np.eye(3), np.eye(3), 1)
+    pairs = lowrank_gen_eig(np.zeros(3), np.sqrt(2.0) * np.eye(3), None, 1, 1.0)
     assert pairs.values[0] == pytest.approx(2.0, abs=1e-12)
 
-    pairs = gen_eig(np.diag([5.0, 1.0]), np.eye(2), 1)
+    pairs = lowrank_gen_eig(np.zeros(2), np.diag([np.sqrt(5.0), 1.0]), None, 1, 1.0)
     assert pairs.values[0] == pytest.approx(5.0, abs=1e-12)
     npt.assert_allclose(np.abs(pairs.vectors[:, 0]), [1.0, 0.0], atol=1e-12)
 
@@ -65,7 +71,7 @@ def test_gen_eig_residuals_scaled():
     B0 = rng.standard_normal((8, 8))
     A = A0 @ A0.T
     B = B0 @ B0.T + 8 * np.eye(8)
-    pairs = gen_eig(A, B, 4)
+    pairs = lowrank_gen_eig(np.zeros(8), A0.T, B0.T, 4, 8.0)
     for k in range(4):
         v = pairs.vectors[:, k]
         lam = pairs.values[k]
@@ -79,16 +85,17 @@ def test_gen_eig_residuals_scaled():
 
 def test_gen_eig_congruence_invariance():
     # the congruence (P^T A P, P^T B P) with an invertible P keeps the
-    # spectrum (the default ridge is small enough not to disturb it), and
-    # its eigenvectors are P^-1 times the original ones
+    # spectrum, and its eigenvectors are P^-1 times the original ones. Its
+    # right side P^T B0 B0^T P + 6 P^T P has the factor [B0^T P; sqrt(6) P]
+    # and a ridge of 6 machine epsilons, small enough not to disturb it
     rng = np.random.default_rng(2)
     A0 = rng.standard_normal((6, 6))
-    A = A0 @ A0.T
     B0 = rng.standard_normal((6, 6))
-    B = B0 @ B0.T + 6 * np.eye(6)
     P = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    p1 = gen_eig(A, B, 3)
-    p2 = gen_eig(P.T @ A @ P, P.T @ B @ P, 3)
+    d = np.zeros(6)
+    p1 = lowrank_gen_eig(d, A0.T, B0.T, 3, 6.0)
+    p2 = lowrank_gen_eig(d, A0.T @ P, np.vstack([B0.T @ P, np.sqrt(6.0) * P]), 3,
+                         6 * np.finfo(float).eps)
     npt.assert_allclose(p1.values, p2.values, rtol=1e-8)
     mapped = P @ p2.vectors
     mapped /= np.linalg.norm(mapped, axis=0)
@@ -96,26 +103,24 @@ def test_gen_eig_congruence_invariance():
 
 
 def test_gen_eig_explicit_ridge():
-    pairs = gen_eig(np.eye(2), np.zeros((2, 2)), 2, ridge=0.5)
+    pairs = lowrank_gen_eig(np.zeros(2), np.eye(2), None, 2, 0.5)
     npt.assert_allclose(pairs.values, [2.0, 2.0], atol=1e-12)
 
 
 def test_gen_eig_errors():
-    # a rotation has a complex spectrum; it is rejected as nonsymmetric
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(InvalidInput, match="symmetric"):
-        gen_eig(rot, np.eye(2), 2)
-    with pytest.raises(InvalidInput, match="symmetric"):
-        gen_eig(np.eye(2), rot + 3 * np.eye(2), 1)
+    d, I2 = np.zeros(2), np.eye(2)
     with pytest.raises(SingularMatrix, match="positive definite"):
-        gen_eig(np.eye(2), -np.eye(2), 1)
-    with pytest.raises(InvalidInput):
-        gen_eig(np.eye(2), np.eye(3), 1)
-    with pytest.raises(InvalidInput):
-        gen_eig(np.eye(2), np.eye(2), 0)
+        lowrank_gen_eig(d, I2, None, 1, -1.0)
+    with pytest.raises(InvalidInput, match="columns"):
+        lowrank_gen_eig(d, I2, np.eye(3), 1, 1.0)
+    with pytest.raises(InvalidInput, match="m must be"):
+        lowrank_gen_eig(d, I2, I2, 0, 1.0)
+    # non-finite factors are rejected before the route is chosen, so on
+    # the dense route too
     nan = np.full((2, 2), np.nan)
-    with pytest.raises(SingularMatrix):
-        gen_eig(nan, np.eye(2), 1)
+    for Ya, Yb, ridge in ((nan, I2, 1.0), (I2, nan, 1.0), (I2, None, np.inf)):
+        with pytest.raises(SingularMatrix, match="non-finite"):
+            lowrank_gen_eig(d, Ya, Yb, 1, ridge)
 
 
 def _lowrank_pencil(rng, r):

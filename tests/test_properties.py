@@ -4,8 +4,9 @@ of the landmark sketch against its blocks as the formulas read, of the
 blocked transform against the unfused formula, of the RBF evaluator
 (gram, cross_gram, transform) against exp(-gamma ||x - z||^2) from
 explicit differences, of the baseline's ridge solve in the input factor
-against the dense N x N solve, and of save/load as the identity on
-models of every fitter.
+against the dense N x N solve, of save/load as the identity on models
+of every fitter, and of load_model on model files with one header field
+or byte mutated (InvalidInput, or a model that serves finite output).
 
 Each fit example draws a small dataset (N 8-60, 1-3 classes, 1-4 domains,
 sometimes a real-valued output with an RBF output kernel) and checks the
@@ -13,7 +14,10 @@ fitted eigenpairs against solved_pencil, which assembles the pencil with
 explicit solves and never calls the package's solver. With every point a
 landmark, the fast fit must span the dense fit's subspace.
 """
+import functools
+import json
 import os
+import struct
 import tempfile
 from types import SimpleNamespace
 from unittest import mock
@@ -33,6 +37,7 @@ from hypothesis import strategies as st
 
 from covmin import (
     DataSet,
+    InvalidInput,
     KernelSpec,
     ProjectionModel,
     build_sketch,
@@ -47,7 +52,7 @@ from covmin import (
     save_model,
     transform,
 )
-from covmin.dcm import _centered_factor, build_operator_pair
+from covmin.dcm import _HEADER_COUNTS, _centered_factor, build_operator_pair
 from covmin.evaluate import FITTERS, _ridge_dual
 from covmin.fastpath import _side_factor
 from covmin.kernels import _BLOCK, center_gram, gram
@@ -361,3 +366,71 @@ def test_save_load_is_the_identity(problem, algorithm, draw):
         assert _same_bits(loaded.landmarks, model.landmarks)
     Z = data.X[:5] + 0.25
     assert _same_bits(transform(loaded, Z), transform(model, Z))
+
+
+@functools.cache
+def _saved_model(fast: bool) -> bytes:
+    """The file of a small dcm (fast: fastdcm with 6 landmarks) fit."""
+    rng = np.random.default_rng(3)
+    data = DataSet(X=rng.standard_normal((12, 3)), y=rng.choice([-1.0, 1.0], 12),
+                   d=np.repeat([1, 2, 3], 4))
+    model = fit_fastdcm(data, RBF, 1e-3, 2, 6, 0) if fast else fit_dcm(data, RBF, 1e-3, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        save_model(model, path)
+        return open(path, "rb").read()
+
+
+@st.composite
+def header_mutations(draw):
+    """A field of the JSON header set to a drawn value, or one byte of it
+    replaced; (field or None, new value or (offset, byte))."""
+    kind = draw(st.sampled_from(["count", "kernel_gamma", "kernel_kind", "algorithm", "byte"]))
+    if kind == "count":
+        field = draw(st.sampled_from(sorted(_HEADER_COUNTS)))
+        return field, draw(st.sampled_from(["+1", "-1", 0, -1, -(2**40), 2**40]))
+    if kind == "kernel_gamma":
+        return kind, draw(st.one_of(
+            st.floats(), st.integers(-(2**1100), 2**1100), st.sampled_from([0, 1e308, 1e-308]),
+            st.none(), st.booleans(), st.text(max_size=3)))
+    if kind == "kernel_kind":
+        return kind, draw(st.sampled_from(["delta", "RBF", "", None, 1, ["rbf"]]))
+    if kind == "algorithm":
+        return kind, draw(st.one_of(st.text(max_size=5), st.none(), st.integers(),
+                                    st.just(["dcm"]), st.just({"a": 1})))
+    return None, (draw(st.integers(0, 2**16)), draw(st.integers(0, 255)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.booleans(), header_mutations())
+def test_mutated_model_header_loads_and_serves_or_is_invalid_input(fast, mutation):
+    """A model file whose JSON header has one field or one byte changed,
+    with its length word rewritten, either raises InvalidInput on load or
+    loads a model that projects 3 rows to finite coordinates of shape
+    (m, 3)."""
+    blob = _saved_model(fast)
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header, payload = blob[12:12 + hlen], blob[12 + hlen:]
+    field, value = mutation
+    if field is None:
+        offset, byte = value
+        raw = bytearray(header)
+        raw[offset % hlen] = byte
+        header = bytes(raw)
+    else:
+        fields = json.loads(header)
+        if value in ("+1", "-1"):
+            value = fields[field] + int(value)
+        header = json.dumps(dict(fields, **{field: value})).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        with open(path, "wb") as fh:
+            fh.write(blob[:8] + struct.pack("<I", len(header)) + header + payload)
+        try:
+            model = load_model(path)
+        except InvalidInput:
+            return
+    Z = np.random.default_rng(0).standard_normal((3, model.train_X.shape[1]))
+    out = transform(model, Z)
+    assert out.shape == (model.m, 3)
+    assert np.isfinite(out).all()
