@@ -16,10 +16,13 @@ the output and domain kernel specs, nothing else. An input factor is the
 eigenbasis H K H = U diag(values) U^T of the centered input Gram K of the
 training rows, exact (KernelFactor, from kernel_factor; fits on the same
 rows share one through factor=) or landmark-approximated
-(fastpath.NystromSketch, from fastpath.build_sketch). It has values
-(descending), row_means (of the raw Gram, for transform), landmarks (None
-when exact), project(F) = U^T F, coefficients(w) = U diag(values)^-1/2 w,
-and side(spec, values): a factor F of the centered Gram of values under
+(fastpath.NystromSketch, from fastpath.build_sketch). Neither forms the
+N x r matrix U: the exact factor keeps it as Householder reflectors and
+the eigenvectors of a tridiagonal matrix, the landmark factor as a
+kernel block times an M x r matrix. A factor has values (descending),
+row_means (of the raw Gram, for transform), landmarks (None when exact),
+project(F) = U^T F, coefficients(w) = U diag(values)^-1/2 w, and
+side(spec, values): a factor F of the centered Gram of values under
 spec on the same approximation, exact (_centered_factor) or Nystrom on
 the same landmarks (fastpath._side_factor).
 
@@ -51,7 +54,7 @@ from .kernels import (
     rbf_cross_product,
 )
 # gen_eig is bound here too because benchmark tracing reads covmin.dcm.gen_eig
-from .linalg import gen_eig, lowrank_gen_eig, sym_eig  # noqa: F401
+from .linalg import ReflectorBasis, factored_sym_eig, gen_eig, lowrank_gen_eig  # noqa: F401
 
 #: eigenvalues at or below this fraction of max(largest, 1) count as zero
 _POSITIVE_TOL = 1e-12
@@ -182,42 +185,50 @@ def _canonical_signs(coef: np.ndarray) -> np.ndarray:
 class KernelFactor:
     """Exact input factor (module docstring), the eigenbasis of the
     centered input Gram of the rows X under spec:
-    H K H = vectors diag(values) vectors^T over the r eigenvalues above
-    1e-12 * max(largest, 1) (linalg.sym_eig with tol), values descending.
-    row_means are the row means of the raw Gram K; a fitted model keeps
-    them and transform subtracts their projection beta^T row_means.
+    H K H = U diag(values) U^T over the r eigenvalues above
+    1e-12 * max(largest, 1), values descending, with U kept factored
+    (basis, a linalg.ReflectorBasis). row_means are the row means of the
+    raw Gram K; a fitted model keeps them and transform subtracts their
+    projection beta^T row_means.
     """
 
     spec: KernelSpec
     X: np.ndarray
-    vectors: np.ndarray
+    basis: ReflectorBasis
     values: np.ndarray
     row_means: np.ndarray
     landmarks = None
     side = staticmethod(_centered_factor)
 
     def project(self, F: np.ndarray) -> np.ndarray:
-        """U^T F, U = vectors."""
-        return self.vectors.T @ F
+        """U^T F."""
+        return self.basis.project(F)
 
     def coefficients(self, w: np.ndarray) -> np.ndarray:
         """v = U diag(values)^-1/2 w, which has v^T (H K H) v = w^T w."""
-        return self.vectors @ (w / np.sqrt(self.values)[:, None])
+        return self.basis.expand(w / np.sqrt(self.values)[:, None])
 
 
 def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
-    """Build the KernelFactor of the rows X: one N x N Gram and one N x N
-    symmetric eigendecomposition. fit_dcm, fit_coir and fit_kpca on a
-    dataset with these rows accept it as factor=.
+    """Build the KernelFactor of the rows X: one N x N Gram and the
+    eigendecomposition of its centered form (linalg.factored_sym_eig).
+    fit_dcm, fit_coir and fit_kpca on a dataset with these rows accept it
+    as factor=.
+
+    Cost: the Gram in O(N^2 d), then 4/3 N^3 for the tridiagonal reduction
+    plus the divide-and-conquer tridiagonal solver (dstedc), with no N x N
+    back-transformation. Memory: three N x N arrays, the centered Gram
+    (which the reduction overwrites with its reflectors), the tridiagonal
+    eigenvectors and the solver's workspace; the factor keeps the
+    reflectors and the r kept eigenvectors.
     """
     _check_input_kernel(spec_x)
     X = np.array(X, dtype=float)
     K = gram(spec_x, X)
     row_means = K.mean(axis=1)
     K = center_gram(K)
-    pairs = sym_eig(K, tol=_POSITIVE_TOL)
-    return KernelFactor(spec=spec_x, X=X, vectors=pairs.vectors, values=pairs.values,
-                        row_means=row_means)
+    values, basis = factored_sym_eig(K, tol=_POSITIVE_TOL)
+    return KernelFactor(spec=spec_x, X=X, basis=basis, values=values, row_means=row_means)
 
 
 def _landmark_indices(landmarks, N: int) -> np.ndarray:
@@ -296,9 +307,11 @@ def fit_dcm(data: DataSet, spec_x: KernelSpec, epsilon: float, m: int,
     rows (in another order too) or of another input kernel raises
     InvalidInput.
 
-    Cost: one N x N symmetric eigendecomposition of the centered input
-    Gram unless factor is given, O(N^3); for an RBF output kernel, a
-    pivoted Cholesky factor of the output Gram in O(N k^2), k its columns;
+    Cost: kernel_factor's unless factor is given (4/3 N^3 and a
+    tridiagonal eigensolve, no N x N back-transformation), and
+    O(N^2 (c + T + m)) to apply its basis to the side factors and the
+    coefficients; for an RBF output kernel, a pivoted Cholesky factor of
+    the output Gram in O(N k^2), k its columns;
     then the top m pairs of an r x r symmetric-definite pencil, r the
     numerical rank of the input Gram, by Lanczos on its factors in
     O(iterations r (c + T)), c the output factor columns and T the
@@ -325,9 +338,8 @@ def fit_kpca(data: DataSet, spec_x: KernelSpec, m: int, *,
     used as in fit_dcm and never changes the result."""
     factor = _input_factor(data, spec_x, m, factor)
     _require_rank(factor, m)
-    vals = factor.values[:m]
-    coef = factor.vectors[:, :m] / np.sqrt(vals)[None, :]
-    return _model("kpca", coef, vals, data.X, factor)
+    coef = factor.coefficients(np.eye(len(factor.values), m))
+    return _model("kpca", coef, factor.values[:m], data.X, factor)
 
 
 def transform(model: ProjectionModel, Z) -> np.ndarray:

@@ -10,7 +10,8 @@ targets.
 
 run_experiment factorizes the centered input Gram once per split
 (dcm.kernel_factor): dcm, coir, kpca and the baseline all use that one
-eigendecomposition, and the baseline solves its dual system in it.
+eigendecomposition. The baseline solves its dual system in it with one
+projection onto the eigenbasis and one expansion from it.
 """
 from __future__ import annotations
 
@@ -267,10 +268,10 @@ def resolve_spec_y(p, y: np.ndarray) -> KernelSpec:
 def _ridge_dual(factor, b: np.ndarray, lam: float) -> np.ndarray:
     """(Kx + lam I)^-1 b for the centered Gram Kx = U diag(values) U^T of
     factor: U (values + lam)^-1 U^T b on its range, plus (b - U U^T b) / lam
-    on the eigenvalues that kernel_factor counts as zero."""
-    U = factor.vectors
-    c = U.T @ b
-    return U @ (c / (factor.values + lam)) + (b - U @ c) / lam
+    on the eigenvalues that kernel_factor counts as zero, evaluated with
+    one expansion as U (c / (values + lam) - c / lam) + b / lam, c = U^T b."""
+    c = factor.project(b[:, None])
+    return factor.basis.expand(c / (factor.values[:, None] + lam) - c / lam)[:, 0] + b / lam
 
 
 def score_predictions(scores, truth, label_kind: str) -> dict:

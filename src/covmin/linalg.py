@@ -7,14 +7,18 @@ lowrank_gen_eig finds the top m pairs from those factors alone: by
 Lanczos (ARPACK) on a symmetric operator whose matvecs cost O(r (c + T))
 for ranks c and T, or, for small orders, by its dense branch gen_eig,
 which hands the assembled pencil to LAPACK's symmetric-definite solver.
+factored_sym_eig eigendecomposes the dense input Gram with its eigenbasis
+left in factored form (ReflectorBasis).
 """
 from __future__ import annotations
 
+import ctypes
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import cython_lapack
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import InvalidInput, SingularMatrix
@@ -80,6 +84,118 @@ def sym_eig(S: np.ndarray, tol: float | None = None) -> EigPairs:
     if tol is not None:
         order = order[w[order] > tol * w.max(initial=1.0)]
     return EigPairs(values=w[order], vectors=V[:, order])
+
+
+# dstevd, the divide-and-conquer tridiagonal solver (dstedc) with its
+# scaling, has a scipy.linalg.lapack wrapper only in scipy releases well
+# after the 1.10 floor of pyproject.toml. scipy.linalg.cython_lapack
+# (scipy >= 0.16) exports every LAPACK routine as a C function pointer in
+# a capsule, and ctypes calls that with pointer arguments
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_capsule = cython_lapack.__pyx_capi__["dstevd"]
+_dstevd = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 11)(
+    _capsule_pointer(_capsule, _capsule_name(_capsule)))
+del _capsule
+
+
+def _tridiagonal_eig(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (N x N, Fortran
+    order) of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, by LAPACK dstevd, which may overwrite both. Raises
+    numpy.linalg.LinAlgError if it fails."""
+    d, e = (np.require(v, dtype=np.float64, requirements=["C", "W"]) for v in (d, e))
+    N = len(d)
+    if d.ndim != 1 or e.shape != (max(N - 1, 0),):
+        raise InvalidInput("expected a diagonal and an off-diagonal one entry shorter")
+    Z = np.empty((N, N), order="F")
+    work = np.empty(1 + 4 * N + N * N)
+    iwork = np.empty(3 + 5 * N, dtype=np.intc)
+    n, lwork, liwork, info = (ctypes.c_int(v) for v in (N, len(work), len(iwork), 0))
+    _dstevd(b"V", ctypes.byref(n), d.ctypes.data, e.ctypes.data, Z.ctypes.data,
+            ctypes.byref(n), work.ctypes.data, ctypes.byref(lwork), iwork.ctypes.data,
+            ctypes.byref(liwork), ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed (dstevd info={info.value})")
+    return d, Z
+
+
+@dataclass
+class ReflectorBasis:
+    """The orthonormal eigenbasis U = Q Z of a symmetric S = Q T Q^T,
+    kept in factored form.
+
+    Q is the product of the N - 1 Householder reflectors that dsytrd
+    leaves below the subdiagonal of reflectors (lower storage, Fortran
+    order), with their scalars tau. Z (N x rank, Fortran order) holds the
+    kept eigenvectors of the tridiagonal T, eigenvalues descending. Q is
+    not formed: project and expand apply it to N x k blocks in O(N^2 k).
+    """
+
+    reflectors: np.ndarray
+    tau: np.ndarray
+    Z: np.ndarray
+
+    def _apply_q(self, C: np.ndarray, trans: bytes) -> np.ndarray:
+        """Q C (trans b"N") or Q^T C (b"T") as a new array, for an N x k C."""
+        out = np.array(C, dtype=float)
+        N = len(out)
+        if N > 1:
+            # Q = diag(1, Q'), Q' the dormqr product of the reflectors in
+            # reflectors[1:, :-1]. That block is not contiguous, but the
+            # N x (N - 1) Fortran view of the same memory from entry
+            # [1, 0] is, with leading dimension N, and dormqr reads only
+            # the first N - 1 rows of its columns: the block itself
+            a = self.reflectors.reshape(-1, order="F")[1:1 + N * (N - 1)].reshape(
+                N, N - 1, order="F")
+            lwork = int(sla.lapack.dormqr(b"L", trans, a, self.tau, out[1:], -1)[1][0])
+            out[1:] = sla.lapack.dormqr(b"L", trans, a, self.tau, out[1:], lwork)[0]
+        return out
+
+    # The products with Z use scipy's BLAS, as dormqr does: numpy bundles
+    # another OpenBLAS, and with several threads each switch between the
+    # two pools waits for the other pool's spinning threads
+
+    def project(self, F: np.ndarray) -> np.ndarray:
+        """U^T F, rank x k, for an N x k F."""
+        return sla.blas.dgemm(1.0, self.Z, self._apply_q(F, b"T"), trans_a=1)
+
+    def expand(self, W: np.ndarray) -> np.ndarray:
+        """U W, N x k, for a rank x k W."""
+        return self._apply_q(sla.blas.dgemm(1.0, self.Z, W), b"N")
+
+
+def factored_sym_eig(S: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, ReflectorBasis]:
+    """Symmetric eigendecomposition S = U diag(values) U^T, values
+    descending, with U kept as a ReflectorBasis. Overwrites S.
+
+    It runs the two steps of LAPACK's dsyevd, the tridiagonal reduction
+    dsytrd (4/3 N^3) and the divide-and-conquer tridiagonal solver
+    (dstevd), and skips dsyevd's N x N back-transformation U = Q Z. The
+    reduction writes its reflectors into S's own buffer (a float64 S in C
+    order), so a caller that reads S afterwards passes a copy. S is
+    checked as in sym_eig (an S that is symmetric only within tolerance is
+    averaged into a new array, which is reduced instead), and tol keeps
+    the values above tol * max(largest, 1) and their vectors, as there;
+    all are kept if it is omitted. Raises numpy.linalg.LinAlgError if the
+    tridiagonal solver fails.
+    """
+    A = _require_symmetric(S)
+    N = A.shape[0]
+    if N == 0:
+        w, Z, tau, c = np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
+    else:
+        # dsytrd overwrites A.T, the same matrix in Fortran order, in place
+        lwork = int(sla.lapack.dsytrd_lwork(N, lower=1)[0])
+        c, d, e, tau, _ = sla.lapack.dsytrd(A.T, lower=1, lwork=lwork, overwrite_a=1)
+        w, Z = _tridiagonal_eig(d, e)
+    rank = N if tol is None else int(np.count_nonzero(w > tol * w.max(initial=1.0)))
+    # the kept columns, descending; the solver's workspace is freed by now,
+    # so the copy is the third N x N array at most
+    Z = Z[:, N - rank:][:, ::-1].copy(order="F")
+    return w[::-1][:rank].copy(), ReflectorBasis(reflectors=c, tau=tau, Z=Z)
 
 
 def gen_eig(A: np.ndarray, B: np.ndarray, m: int, ridge: float) -> EigPairs:

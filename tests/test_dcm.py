@@ -1,4 +1,7 @@
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -14,6 +17,7 @@ from conftest import (
 )
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import covmin
 from covmin import (
     DataSet,
     InvalidInput,
@@ -39,7 +43,7 @@ from covmin import (
 from covmin.dcm import _centered_factor
 from covmin.errors import RankDeficient
 from covmin.kernels import _BLOCK, _MAX_SQ_NORM, center_gram, gram
-from covmin.linalg import sym_eig
+from covmin.linalg import factored_sym_eig, sym_eig
 
 
 def _random_problem(rng, N):
@@ -51,8 +55,8 @@ def _random_problem(rng, N):
 
     Fx = centered(N)
     Kx = center_gram(Fx @ Fx.T)
-    basis = sym_eig(Kx, tol=1e-12)
-    factor = KernelFactor(spec=None, X=None, vectors=basis.vectors, values=basis.values,
+    values, basis = factored_sym_eig(Kx.copy(), tol=1e-12)
+    factor = KernelFactor(spec=None, X=None, basis=basis, values=values,
                           row_means=np.zeros(N))
     return Kx, factor, centered(2), centered(2)
 
@@ -64,7 +68,8 @@ def test_operator_pair_transcription_oracle():
     rng = np.random.default_rng(0)
     for N, eps in ((3, 0.1), (7, 1e-3), (12, 1e-2)):
         Kx, factor, Fy, Fd = _random_problem(rng, N)
-        U, lam = factor.vectors, factor.values
+        lam = factor.values
+        U = factor.basis.expand(np.eye(len(lam)))
         Yy, Yd = build_operator_pair(factor, Fy, Fd, eps)
         assert Yy.shape == (Fy.shape[1], len(lam)) and Yd.shape == (Fd.shape[1], len(lam))
         L = Yy.T @ Yy + np.diag(lam ** 2)
@@ -128,9 +133,9 @@ def test_rbf_output_factor_needs_no_eigendecomposition(small_data, rbf, monkeypa
 
     def counted(S, tol=None):
         calls.append(S.shape)
-        return sym_eig(S, tol)
+        return factored_sym_eig(S, tol)
 
-    monkeypatch.setattr("covmin.dcm.sym_eig", counted)
+    monkeypatch.setattr("covmin.dcm.factored_sym_eig", counted)
     y = small_data.X[:, 0] + 0.1 * small_data.d
     data = DataSet(X=small_data.X, y=y, d=small_data.d)
     fit_dcm(data, rbf, 1e-3, 3, spec_y=KernelSpec("rbf", 1.0))
@@ -148,6 +153,13 @@ def test_fit_dcm_invariants(small_data, rbf):
     assert np.all(np.diff(model.eigenvalues) <= 1e-12)
     assert model.m == 4
     assert model.algorithm == "dcm"
+
+
+def test_fit_kpca_coefficients_are_orthonormal_under_the_gram(small_data, rbf):
+    model = fit_kpca(small_data, rbf, 4)
+    Kx = center_gram(gram(rbf, small_data.X))
+    C = model.coefficients
+    npt.assert_allclose(C.T @ Kx @ C, np.eye(4), atol=1e-10)
 
 
 def test_fit_dcm_solved_pencil_residuals(small_data, rbf):
@@ -365,8 +377,11 @@ def test_factor_of_other_rows_or_kernel_is_rejected(alg, small_data, rbf):
 
 
 def test_kernel_factor_peak_memory(rbf):
-    """kernel_factor holds at most three N x N matrices at once: the
-    centered Gram, the eigensolver's copy of it and the eigenvectors."""
+    """kernel_factor holds at most three N x N matrices at once. Centering
+    holds the raw Gram, the centered one and its symmetrizing sum; the
+    eigensolve holds the centered Gram's buffer, which the reduction
+    overwrites with its Householder reflectors, the tridiagonal
+    eigenvectors Z and the dstevd workspace."""
     import tracemalloc
 
     N = 1600
@@ -378,6 +393,31 @@ def test_kernel_factor_peak_memory(rbf):
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * 8 * N * N
+
+
+def test_kernel_factor_peak_rss():
+    """The resident-memory peak of kernel_factor at N=1600, measured as the
+    growth of ru_maxrss in a fresh process (which also counts LAPACK's own
+    workspace), stays under four N x N arrays."""
+    N = 1600
+    code = f"""
+import resource
+import numpy as np
+from covmin import KernelSpec, kernel_factor
+spec = KernelSpec("rbf", 0.5)
+kernel_factor(spec, np.random.default_rng(1).standard_normal((50, 5)))
+X = np.random.default_rng(0).standard_normal(({N}, 5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+kernel_factor(spec, X)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = os.path.dirname(os.path.dirname(covmin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    growth = 1024 * int(out.stdout)  # ru_maxrss is in KiB on Linux
+    assert growth <= 4 * 8 * N * N
 
 
 def _lanczos_sized_data(rbf):

@@ -223,13 +223,13 @@ def test_run_experiment_tags_failing_repetition(monkeypatch):
 def test_run_experiment_factors_each_split_once(monkeypatch):
     cfg = _tiny_config(algorithms=("dcm", "coir", "kpca", "baseline", "fastdcm"))
     calls = []
-    real = covmin.dcm.sym_eig
+    real = covmin.dcm.factored_sym_eig
 
     def counted(S, tol=None):
         calls.append(S.shape)
         return real(S, tol)
 
-    monkeypatch.setattr(covmin.dcm, "sym_eig", counted)
+    monkeypatch.setattr(covmin.dcm, "factored_sym_eig", counted)
     report = run_experiment(cfg)
     monkeypatch.undo()
     assert len(calls) == cfg.reps == 2

@@ -6,7 +6,8 @@ from conftest import principal_angles
 
 from covmin import InvalidInput, SingularMatrix, linalg
 from covmin.errors import RankDeficient
-from covmin.linalg import gen_eig, lowrank_gen_eig, ridge_inverse, sym_eig
+from covmin.kernels import KernelSpec, center_gram, gram
+from covmin.linalg import factored_sym_eig, gen_eig, lowrank_gen_eig, ridge_inverse, sym_eig
 
 
 def test_sym_eig_identity_and_diag():
@@ -48,6 +49,94 @@ def test_sym_eig_keeps_an_exactly_symmetric_input():
     for tol in (None, 1e-10):
         pairs = sym_eig(np.zeros((0, 0)), tol=tol)
         assert pairs.values.shape == (0,) and pairs.vectors.shape == (0, 0)
+
+
+def _eigh_reference(S, tol):
+    """np.linalg.eigh's pairs, descending, cut as factored_sym_eig cuts."""
+    w, V = np.linalg.eigh(S)
+    w, V = w[::-1], V[:, ::-1]
+    if tol is not None:
+        keep = w > tol * w.max(initial=1.0)
+        w, V = w[keep], V[:, keep]
+    return w, V
+
+
+def _repeated_rows_gram():
+    """A centered RBF Gram of 4 distinct rows repeated 3 times: rank 3 of 12."""
+    X = np.repeat(np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0], [2.0, -1.5]]), 3, axis=0)
+    return center_gram(gram(KernelSpec("rbf", 0.5), X))
+
+
+def _random_gram(N):
+    A = np.random.default_rng(N).standard_normal((N, N))
+    return A @ A.T  # a SYRK: exactly symmetric
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 40])
+def test_factored_basis_is_an_eigenbasis(N):
+    """On random Grams, whose small eigenvalues lie close together, the
+    basis is checked by residual and orthonormality, not against another
+    solver's vectors: it holds all N columns, so expand(project(F)) = F."""
+    S = _random_gram(N)
+    values, basis = factored_sym_eig(S.copy())
+    eps, norm = np.finfo(float).eps, np.abs(values).max()
+    npt.assert_allclose(values, _eigh_reference(S, None)[0], rtol=0, atol=N * eps * norm)
+    assert np.all(np.diff(values) <= 0)
+    U = basis.expand(np.eye(N))
+    assert np.abs(S @ U - U * values).max() <= 10 * N * eps * norm
+    npt.assert_allclose(U.T @ U, np.eye(N), rtol=0, atol=10 * N * eps)
+    F = np.random.default_rng(1).standard_normal((N, 3))
+    npt.assert_allclose(basis.project(F), U.T @ F, atol=1e-12)
+    npt.assert_allclose(basis.expand(basis.project(F)), F, atol=1e-12)
+
+
+def test_factored_basis_matches_eigh_under_the_tol_cut():
+    """On the repeated-rows Gram the kept eigenvalues are well separated, so
+    project and expand apply eigh's basis, up to column signs; the tol cut
+    drops the null space, so U U^T is a projector and
+    expand(project(F)) = U U^T F is not F."""
+    S = _repeated_rows_gram()
+    N = len(S)
+    w, V = _eigh_reference(S, 1e-12)
+    values, basis = factored_sym_eig(S.copy(), 1e-12)
+    assert len(values) == basis.Z.shape[1] == len(w) < N
+    npt.assert_allclose(values, w, rtol=0, atol=1e-13 * w.max())
+    U = basis.expand(np.eye(len(w)))
+    V = V * np.where(np.sum(U * V, axis=0) < 0, -1.0, 1.0)
+    npt.assert_allclose(U, V, atol=1e-12)
+    F = np.random.default_rng(1).standard_normal((N, 3))
+    npt.assert_allclose(basis.project(F), V.T @ F, atol=1e-12)
+    npt.assert_allclose(basis.expand(basis.project(F)), V @ (V.T @ F), atol=1e-12)
+
+
+def test_factored_sym_eig_reduces_in_the_given_buffer():
+    """The reflectors take S's own buffer; project and expand leave their
+    arguments unmodified."""
+    S = _repeated_rows_gram()
+    values, basis = factored_sym_eig(S, 1e-12)
+    assert np.shares_memory(basis.reflectors, S)
+    F = np.random.default_rng(2).standard_normal((len(S), 2))
+    W = np.random.default_rng(3).standard_normal((len(values), 2))
+    F0, W0 = F.copy(), W.copy()
+    basis.project(F)
+    basis.expand(W)
+    npt.assert_array_equal(F, F0)
+    npt.assert_array_equal(W, W0)
+
+
+def test_tridiagonal_eig_checks_the_lengths_it_passes_to_lapack():
+    d, e = np.array([2.0, 1.0]), np.array([0.5])
+    w, Z = linalg._tridiagonal_eig(d.copy(), e.copy())
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    npt.assert_allclose(T @ Z, Z * w, atol=1e-15)
+    for bad in (np.array([0.5, 0.5]), np.zeros(0)):
+        with pytest.raises(InvalidInput):
+            linalg._tridiagonal_eig(d.copy(), bad)
+
+
+def test_factored_sym_eig_rejects_asymmetric():
+    with pytest.raises(InvalidInput):
+        factored_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # The gen_eig tests drive its one caller, lowrank_gen_eig, on the dense
