@@ -97,8 +97,7 @@ def sample_wishart(eta: float, n: int, dof: int, rng: np.random.Generator) -> np
     if dof < n:
         raise InvalidInput("dof must be at least n for an a.s. full-rank draw")
     A = rng.standard_normal((dof, n)) * np.sqrt(eta)
-    S = A.T @ A
-    return 0.5 * (S + S.T)
+    return A.T @ A  # a SYRK
 
 
 def _sgn(v: np.ndarray) -> np.ndarray:

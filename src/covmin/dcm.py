@@ -224,6 +224,8 @@ def kernel_factor(spec_x: KernelSpec, X) -> KernelFactor:
     """
     _check_input_kernel(spec_x)
     X = np.array(X, dtype=float)
+    if len(X) == 0:
+        raise InvalidInput("kernel_factor needs at least one row")
     K = gram(spec_x, X)
     row_means = K.mean(axis=1)
     K = center_gram(K)

@@ -73,39 +73,38 @@ def krr_fit(features, targets, lam: float) -> RidgePredictor:
     """Ridge fit on m x N features with an unpenalized intercept.
 
     A numerically degenerate normal-equations matrix triggers a warning
-    and a retry with a 10x larger ridge (up to three escalations).
+    and a retry with a 10x larger ridge (up to three escalations); one
+    that overflows, or non-finite features or targets, raise InvalidInput.
     """
     if lam <= 0:
         raise InvalidInput("lambda must be positive")
     F = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float).ravel()
-    if F.ndim != 2 or F.shape[1] != y.shape[0]:
-        raise InvalidInput("features must be m x N with N matching targets")
-    fm = F.mean(axis=1)
-    ym = float(y.mean())
-    Fc = F - fm[:, None]
-    G = Fc @ Fc.T
-    m = F.shape[0]
+    if F.ndim != 2 or F.shape[1] != y.shape[0] or F.size == 0:
+        raise InvalidInput("features must be m x N, not empty, with N matching targets")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ym = float(y.mean())
+        fm = F.mean(axis=1)
+        Fc = F - fm[:, None]
+        G = Fc @ Fc.T  # a SYRK, exactly symmetric; a NaN or inf in F reaches its diagonal
+    if not (np.isfinite(ym) and np.isfinite(G).all()):
+        raise InvalidInput("features and targets must be finite, with a finite normal matrix")
     cur = lam
-    evals = np.linalg.eigvalsh(0.5 * (G + G.T))
+    evals = np.linalg.eigvalsh(G)
     if evals[0] <= 1e-12 * max(evals[-1], 1.0):
-        warnings.warn(
-            f"rank-deficient feature matrix; ridge raised to {lam * 10.0:g}",
-            RankDeficientWarning,
-        )
         cur = lam * 10.0
+        warnings.warn(f"rank-deficient feature matrix; ridge raised to {cur:g}",
+                      RankDeficientWarning)
     for _ in range(3):
         try:
-            w = np.linalg.solve(G + cur * np.eye(m), Fc @ (y - ym))
+            w = np.linalg.solve(G + cur * np.eye(len(G)), Fc @ (y - ym))
         except np.linalg.LinAlgError:
             w = None
         if w is not None and np.all(np.isfinite(w)):
             return RidgePredictor(weights=w, feature_means=fm, intercept=ym)
         cur *= 10.0
-        warnings.warn(
-            f"ridge system failed to solve; ridge raised to {cur:g}",
-            RankDeficientWarning,
-        )
+        warnings.warn(f"ridge system failed to solve; ridge raised to {cur:g}",
+                      RankDeficientWarning)
     raise InvalidInput("ridge system unsolvable even after escalation")
 
 

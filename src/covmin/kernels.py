@@ -21,7 +21,7 @@ a distance of exactly 0 and a kernel entry of exactly 1. gram and
 cross_gram clamp their entries at 1 in a third pass, which gives exactly
 the entries of a distance clamped at 0, exp(-gamma max(d, 0)). Serving
 skips that pass while rounding cannot lift an entry measurably above 1
-(_UNCLAMPED_LIMIT).
+(_UNCLAMPED_LIMIT). gram and center_gram return exactly symmetric Grams.
 A single query skips _rbf_block: _rbf_query_product takes the same steps
 on vectors, with the same bits in fewer numpy calls.
 Every lift checks that squared norms lie below _MAX_SQ_NORM, a quarter of
@@ -210,28 +210,27 @@ def _as_points(items) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, items) -> np.ndarray:
-    """Dense Gram matrix K[i, j] = k(items[i], items[j]).
+    """Dense Gram matrix K[i, j] = k(items[i], items[j]), exactly symmetric.
 
-    RBF and delta Grams both carry a unit diagonal, enforced exactly. The
-    RBF Gram is evaluated into its output in strips of at most _STRIP
-    entries, then made exactly symmetric in place, (K + K^T) / 2 over
-    strips of the same size, so it needs no second N x N array.
+    RBF and delta Grams have an exact unit diagonal. The RBF Gram is filled
+    in place, in strips of at most _STRIP entries on and right of the
+    diagonal, K[lo:hi, lo:]: a strip's diagonal block is averaged with its
+    transpose, the rest mirrored to K[hi:, lo:hi].
     """
     if spec.kind == DELTA:
         return _delta(items, items)
     X = _as_points(items)
     n = len(X)
-    K = _rbf_into(np.empty((n, n)), spec.gamma, X, _lift_columns(X)[0])
+    K = np.empty((n, n))
+    Zl = _lift_columns(X)[0]
     step = _rows_per_block(_STRIP, n)
     for lo in range(0, n, step):
         hi = lo + step
-        # the strip K[lo:hi, lo:] and its mirror K[lo:, lo:hi]; earlier
-        # strips touched no entry whose row and column are both >= lo
-        S = K[lo:hi, lo:] + K[lo:, lo:hi].T
-        S *= 0.5
-        K[lo:hi, lo:] = S
-        K[lo:, lo:hi] = S.T
-        del S  # so that the next strip's S is the only one alive
+        _rbf_into(K[lo:hi, lo:], spec.gamma, X[lo:hi], Zl[lo:])
+        D = K[lo:hi, lo:hi]
+        D += D.T  # numpy reads the overlapping D.T from a copy
+        D *= 0.5
+        K[hi:, lo:hi] = K[lo:hi, hi:].T
     np.fill_diagonal(K, 1.0)
     return K
 
@@ -304,14 +303,16 @@ def _rbf_query_product(gamma: float, Xl: np.ndarray, zl: np.ndarray,
 
 
 def center_gram(K: np.ndarray) -> np.ndarray:
-    """Double-center a square Gram: K <- HKH, symmetrized."""
+    """HKH of K, which must be a symmetric Gram (not checked), as K - (s_i +
+    s_j) with s = mu - mean(mu) / 2 for the column means mu: exactly
+    symmetric, in the one N x N array allocated."""
     K = np.asarray(K, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInput("center_gram expects a square matrix")
-    row_means = K.mean(axis=0)
-    total = row_means.mean()
-    C = K - row_means[None, :] - row_means[:, None] + total
-    return 0.5 * (C + C.T)
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or len(K) == 0:
+        raise InvalidInput("center_gram expects a non-empty square matrix")
+    mu = K.mean(axis=0)
+    s = mu - mu.mean() / 2
+    C = np.add.outer(s, s)
+    return np.subtract(K, C, out=C)
 
 
 def center_cross_from_means(Kz: np.ndarray, row_means: np.ndarray) -> np.ndarray:

@@ -33,6 +33,9 @@ _log = logging.getLogger(__name__)
 #: won from r=359 (5.9 against 6.3 ms; at r=399, 6.8 against 7.95 ms)
 _DENSE_MAX_ORDER = 350
 
+#: _require_symmetric accepts an asymmetry up to this times max |S|
+_SYMMETRY_RTOL = 1e-8
+
 
 @dataclass
 class EigPairs:
@@ -46,7 +49,7 @@ class EigPairs:
     vectors: np.ndarray
 
 
-def _require_symmetric(S: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+def _require_symmetric(S: np.ndarray) -> np.ndarray:
     """S symmetrized, 0.5 (S + S^T); S itself when it is exactly symmetric,
     which that average would return bit for bit."""
     S = np.asarray(S, dtype=float)
@@ -57,7 +60,7 @@ def _require_symmetric(S: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     del D
     if asymmetry == 0:
         return S
-    if asymmetry > rtol * np.abs(S).max():
+    if asymmetry > _SYMMETRY_RTOL * np.abs(S).max():
         raise InvalidInput("matrix is not symmetric within tolerance")
     return 0.5 * (S + S.T)
 
@@ -167,7 +170,7 @@ class ReflectorBasis:
         return self._apply_q(sla.blas.dgemm(1.0, self.Z, W), b"N")
 
 
-def factored_sym_eig(S: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, ReflectorBasis]:
+def factored_sym_eig(S: np.ndarray, tol: float) -> tuple[np.ndarray, ReflectorBasis]:
     """Symmetric eigendecomposition S = U diag(values) U^T, values
     descending, with U kept as a ReflectorBasis. Overwrites S.
 
@@ -175,23 +178,19 @@ def factored_sym_eig(S: np.ndarray, tol: float | None = None) -> tuple[np.ndarra
     dsytrd (4/3 N^3) and the divide-and-conquer tridiagonal solver
     (dstevd), and skips dsyevd's N x N back-transformation U = Q Z. The
     reduction writes its reflectors into S's own buffer (a float64 S in C
-    order), so a caller that reads S afterwards passes a copy. S is
-    checked as in sym_eig (an S that is symmetric only within tolerance is
-    averaged into a new array, which is reduced instead), and tol keeps
-    the values above tol * max(largest, 1) and their vectors, as there;
-    all are kept if it is omitted. Raises numpy.linalg.LinAlgError if the
-    tridiagonal solver fails.
+    order), so a caller that reads S afterwards passes a copy. S, not
+    empty, is checked as in sym_eig (an S symmetric only within tolerance
+    is averaged into a new array, which is reduced instead), and tol keeps
+    the values above tol * max(largest, 1) and their vectors, as there.
+    Raises numpy.linalg.LinAlgError if the tridiagonal solver fails.
     """
     A = _require_symmetric(S)
     N = A.shape[0]
-    if N == 0:
-        w, Z, tau, c = np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))
-    else:
-        # dsytrd overwrites A.T, the same matrix in Fortran order, in place
-        lwork = int(sla.lapack.dsytrd_lwork(N, lower=1)[0])
-        c, d, e, tau, _ = sla.lapack.dsytrd(A.T, lower=1, lwork=lwork, overwrite_a=1)
-        w, Z = _tridiagonal_eig(d, e)
-    rank = N if tol is None else int(np.count_nonzero(w > tol * w.max(initial=1.0)))
+    # dsytrd overwrites A.T, the same matrix in Fortran order, in place
+    lwork = int(sla.lapack.dsytrd_lwork(N, lower=1)[0])
+    c, d, e, tau, _ = sla.lapack.dsytrd(A.T, lower=1, lwork=lwork, overwrite_a=1)
+    w, Z = _tridiagonal_eig(d, e)
+    rank = int(np.count_nonzero(w > tol * w.max(initial=1.0)))
     # the kept columns, descending; the solver's workspace is freed by now,
     # so the copy is the third N x N array at most
     Z = Z[:, N - rank:][:, ::-1].copy(order="F")

@@ -376,12 +376,17 @@ def test_factor_of_other_rows_or_kernel_is_rejected(alg, small_data, rbf):
             fit(small_data, rbf, factor=factor)
 
 
+def test_kernel_factor_rejects_no_rows(rbf):
+    with pytest.raises(InvalidInput, match="at least one row"):
+        kernel_factor(rbf, np.zeros((0, 3)))
+
+
 def test_kernel_factor_peak_memory(rbf):
     """kernel_factor holds at most three N x N matrices at once. Centering
-    holds the raw Gram, the centered one and its symmetrizing sum; the
-    eigensolve holds the centered Gram's buffer, which the reduction
-    overwrites with its Householder reflectors, the tridiagonal
-    eigenvectors Z and the dstevd workspace."""
+    holds two, the raw Gram and the centered one; the eigensolve holds the
+    centered Gram's buffer, which the reduction overwrites with its
+    Householder reflectors, the tridiagonal eigenvectors Z and the dstevd
+    workspace."""
     import tracemalloc
 
     N = 1600

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -147,6 +148,26 @@ def test_krr_validation():
         krr_fit(np.ones((2, 3)), np.ones(4), 0.1)
     with pytest.raises(InvalidInput):
         krr_fit(np.ones((2, 3)), np.ones(3), 0.0)
+    for F, y in ((np.zeros((0, 4)), np.ones(4)), (np.zeros((2, 0)), np.zeros(0))):
+        with pytest.raises(InvalidInput, match="not empty"):
+            krr_fit(F, y, 0.1)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_krr_rejects_non_finite_or_overflowing_features(value):
+    """Huge features would overflow the normal matrix into a wrong
+    predictor; inf and NaN would run the ridge escalation in vain. All three
+    raise InvalidInput up front, with no warning, and so do non-finite
+    targets."""
+    F = np.array([[0.0, value, 1.0, 2.0]])
+    y = np.array([1.0, -1.0, 1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput):
+            krr_fit(F, y, 0.1)
+        if not np.isfinite(value):
+            with pytest.raises(InvalidInput, match="finite"):
+                krr_fit(y[None, :], F[0], 0.1)
 
 
 def _tiny_config(**kw):

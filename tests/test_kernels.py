@@ -6,7 +6,7 @@ import pytest
 
 from conftest import build_bundle, eval_kernel
 
-from covmin import InvalidInput, KernelSpec
+from covmin import InvalidInput, KernelSpec, kernels
 from covmin.kernels import (
     _UNCLAMPED_LIMIT,
     _lift_rows,
@@ -117,14 +117,25 @@ def test_gram_symmetric_unit_diagonal(rbf):
 
 @pytest.mark.parametrize("N, block", [(1, None), (50, 1), (50, 350), (700, None)])
 def test_gram_is_the_mean_of_both_triangles(N, block, rbf, monkeypatch):
-    """gram symmetrizes in strips (of 1 row, of 7 rows with a last strip of
-    1, of 374 and 326 rows, of all rows); every entry is bit for bit the
-    out-of-place (K + K^T) / 2 of the unsymmetrized kernel block."""
+    """Within each strip's diagonal block, gram is the mean of both
+    triangles; elsewhere it mirrors the strips. It evaluates in strips (of
+    all rows, of 1 row, of 7 rows with a last strip of 1, of 374 and 326
+    rows) on and right of the diagonal. Every entry is bit for bit that of
+    the strip's cross_gram against the rows from its first on, with the
+    diagonal block's out-of-place (B + B^T) / 2, the rest mirrored below
+    the diagonal and a unit diagonal."""
     if block is not None:
         monkeypatch.setattr("covmin.kernels._STRIP", block)
     X = np.random.default_rng(N).standard_normal((N, 3))
-    K = cross_gram(rbf, X, X)
-    expected = 0.5 * (K + K.T)
+    step = max(1, kernels._STRIP // N)
+    expected = np.empty((N, N))
+    for lo in range(0, N, step):
+        hi = min(lo + step, N)
+        K = cross_gram(rbf, X[lo:hi], X[lo:])
+        B, rest = K[:, :hi - lo], K[:, hi - lo:]
+        expected[lo:hi, lo:hi] = 0.5 * (B + B.T)
+        expected[lo:hi, hi:] = rest
+        expected[hi:, lo:hi] = rest.T
     np.fill_diagonal(expected, 1.0)
     npt.assert_array_equal(gram(rbf, X), expected)
 
@@ -185,6 +196,30 @@ def test_center_gram_values():
     npt.assert_allclose(C.sum(axis=0), np.zeros(6), atol=1e-12)
     with pytest.raises(InvalidInput):
         center_gram(np.ones((2, 3)))
+    with pytest.raises(InvalidInput):
+        center_gram(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 700])
+def test_center_gram_of_a_gram_is_symmetric_hkh(N, rbf):
+    """On gram outputs, center_gram is exactly symmetric and agrees with an
+    explicit H K H, H = I - 11^T / N."""
+    K = gram(rbf, np.random.default_rng(N).standard_normal((N, 4)))
+    C = center_gram(K)
+    npt.assert_array_equal(C, C.T)
+    H = np.eye(N) - 1.0 / N
+    assert np.abs(C - H @ K @ H).max() <= 1e-13 * np.abs(K).max()
+
+
+def test_center_gram_allocates_only_its_output(rbf):
+    K = gram(rbf, np.random.default_rng(0).standard_normal((1600, 10)))
+    tracemalloc.start()
+    try:
+        C = center_gram(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * C.nbytes
 
 
 def test_center_cross_matches_gram_columns():

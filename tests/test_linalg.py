@@ -78,7 +78,7 @@ def test_factored_basis_is_an_eigenbasis(N):
     basis is checked by residual and orthonormality, not against another
     solver's vectors: it holds all N columns, so expand(project(F)) = F."""
     S = _random_gram(N)
-    values, basis = factored_sym_eig(S.copy())
+    values, basis = factored_sym_eig(S.copy(), 1e-12)
     eps, norm = np.finfo(float).eps, np.abs(values).max()
     npt.assert_allclose(values, _eigh_reference(S, None)[0], rtol=0, atol=N * eps * norm)
     assert np.all(np.diff(values) <= 0)
@@ -136,7 +136,20 @@ def test_tridiagonal_eig_checks_the_lengths_it_passes_to_lapack():
 
 def test_factored_sym_eig_rejects_asymmetric():
     with pytest.raises(InvalidInput):
-        factored_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        factored_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", [(10, 10), (5, 700), (5, 1600), (2, 300),
+                                        (7, 350), (40, 699)])
+def test_gram_products_are_exactly_symmetric(rows, cols):
+    """A^T A and A A^T are SYRKs in numpy, exactly symmetric. The code
+    takes them as symmetric without averaging: the 10 x 10 Wishart draw
+    (datagen.sample_wishart), the m x N centered features of krr_fit, and
+    the c x r pencil factors of lowrank_gen_eig, in either memory order."""
+    A = np.random.default_rng(rows * cols).standard_normal((rows, cols))
+    for A in (A, np.asfortranarray(A)):
+        for P in (A.T @ A, A @ A.T):
+            npt.assert_array_equal(P, P.T)
 
 
 # The gen_eig tests drive its one caller, lowrank_gen_eig, on the dense
